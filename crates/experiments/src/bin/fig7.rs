@@ -61,10 +61,13 @@ const KINDS: [(PolicyKind, u64); 3] = [
     (PolicyKind::Lcfs, 0x03),
 ];
 
-/// Runs every selected panel: analytic curves inline (cheap marching),
-/// all simulated points of all panels through one parallel sweep, then
-/// reassembles each panel's three point series in grid order. Telemetry,
-/// when requested, is captured per cell and returned in cell order.
+/// Runs every selected panel: first all simulated points of all panels
+/// through one parallel sweep, then, panel by panel on the calling
+/// thread, the three analytic curves (K-marching, one FCFS waiting-time
+/// CDF, the Panjer-evaluated LCFS delay busy period; together well under
+/// a second for all six panels in a release build) next to the panel's
+/// three point series reassembled in grid order. Telemetry, when
+/// requested, is captured per cell and returned in cell order.
 fn run_panels(
     panels: &[Panel],
     settings: SimSettings,
@@ -449,7 +452,7 @@ fn main() {
         std::process::exit(run_obs_cell(&obs));
     }
     let quick = args.iter().any(|a| a == "--quick");
-    let jobs = tcw_experiments::jobs_from_args(&args);
+    let jobs = tcw_experiments::jobs_from_args("fig7", &args);
     let panel_filter: Vec<&String> = args
         .iter()
         .filter(|a| !a.starts_with("--") && a.parse::<u64>().is_err())

@@ -234,27 +234,36 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Parses `--jobs N` (or `--jobs=N`) out of a raw argument list,
-/// defaulting to [`default_jobs`]. `--jobs 1` forces the serial path.
-///
-/// # Panics
-/// Panics with a usage message when the flag is present but malformed.
-pub fn jobs_from_args(args: &[String]) -> usize {
+/// The parser behind [`jobs_from_args`]; the error is the usage message.
+fn parse_jobs(args: &[String]) -> Result<usize, String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if a == "--jobs" {
-            let v = it.next().unwrap_or_else(|| panic!("--jobs needs a value"));
-            return v
-                .parse()
-                .unwrap_or_else(|_| panic!("--jobs expects a positive integer, got {v:?}"));
-        }
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            return v
-                .parse()
-                .unwrap_or_else(|_| panic!("--jobs expects a positive integer, got {v:?}"));
-        }
+        let v = if a == "--jobs" {
+            it.next().ok_or("--jobs needs a value")?
+        } else if let Some(v) = a.strip_prefix("--jobs=") {
+            v
+        } else {
+            continue;
+        };
+        return match v.parse() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!("--jobs expects a positive integer, got {v:?}")),
+        };
     }
-    default_jobs()
+    Ok(default_jobs())
+}
+
+/// Parses `--jobs N` (or `--jobs=N`) out of a binary's raw argument
+/// list, defaulting to [`default_jobs`]. `--jobs 1` forces the serial
+/// path. A missing value, or one that is not a positive integer, is a
+/// usage error: it is reported through [`crate::diag::error`] as
+/// `tool: message` and the process exits with
+/// [`crate::diag::EXIT_USAGE`].
+pub fn jobs_from_args(tool: &str, args: &[String]) -> usize {
+    parse_jobs(args).unwrap_or_else(|e| {
+        crate::diag::error(tool, &e);
+        std::process::exit(crate::diag::EXIT_USAGE)
+    })
 }
 
 #[cfg(test)]
@@ -285,9 +294,18 @@ mod tests {
     #[test]
     fn jobs_flag_parsing() {
         let args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        assert_eq!(jobs_from_args(&args(&["--quick", "--jobs", "3"])), 3);
-        assert_eq!(jobs_from_args(&args(&["--jobs=7"])), 7);
-        assert_eq!(jobs_from_args(&args(&["--quick"])), default_jobs());
+        assert_eq!(parse_jobs(&args(&["--quick", "--jobs", "3"])), Ok(3));
+        assert_eq!(parse_jobs(&args(&["--jobs=7"])), Ok(7));
+        assert_eq!(parse_jobs(&args(&["--quick"])), Ok(default_jobs()));
+        for bad in [
+            &["--jobs", "x"][..],
+            &["--jobs"],
+            &["--jobs=0"],
+            &["--jobs=-2"],
+        ] {
+            let err = parse_jobs(&args(bad)).unwrap_err();
+            assert!(err.starts_with("--jobs"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

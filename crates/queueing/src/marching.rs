@@ -16,7 +16,7 @@
 //! the marching updates as the loss evolves.
 
 use crate::impatient::loss_probability;
-use crate::mg1::{fcfs_tail, rho};
+use crate::mg1::{rho, tail_from_cdf, waiting_time_cdf};
 use crate::service::{service_dist, SchedulingShape};
 use tcw_numerics::grid::GridDist;
 use tcw_window::analysis::optimal_mu;
@@ -116,26 +116,38 @@ pub fn fcfs_curve(cfg: PanelConfig, k_grid: &[f64], include_own_sched: bool) -> 
     let service_mean = service.mean();
 
     // Waiting time of interest: W (queue wait) [+ own scheduling time].
-    let wait_dist: WaitModel = if rho(lambda, &service) >= 1.0 {
-        WaitModel::Unstable
-    } else if include_own_sched {
-        // Own scheduling overhead: service minus the deterministic M.
-        let overhead_pmf: Vec<f64> = service.pmf()[cfg.m as usize..].to_vec();
-        let overhead = GridDist::from_pmf(1.0, overhead_pmf);
-        WaitModel::Convolved {
-            service,
-            overhead,
-            lambda,
+    // One CDF of W, solved up to the largest K, serves every grid point:
+    // its entries do not depend on how far it was solved.
+    let step = service.step();
+    let cdf = (rho(lambda, &service) < 1.0).then(|| {
+        let k_max = k_grid.iter().copied().fold(0.0f64, f64::max);
+        waiting_time_cdf(lambda, &service, (k_max / step).ceil() as usize + 2)
+    });
+    // Own scheduling overhead: service minus the deterministic M.
+    let overhead = &service.pmf()[cfg.m as usize..];
+    let tail = |k: f64| -> f64 {
+        let Some(cdf) = &cdf else {
+            return 1.0;
+        };
+        if !include_own_sched {
+            return tail_from_cdf(cdf, step, k);
         }
-    } else {
-        WaitModel::Plain { service, lambda }
+        // P(W + S_own > k) = sum_j P(S_own = j) P(W > k - j)
+        let mut p = 0.0;
+        for (j, &pj) in overhead.iter().enumerate() {
+            if pj == 0.0 {
+                continue;
+            }
+            p += pj * tail_from_cdf(cdf, step, k - j as f64);
+        }
+        p.min(1.0)
     };
 
     k_grid
         .iter()
         .map(|&k| CurvePoint {
             k,
-            loss: wait_dist.tail(k),
+            loss: tail(k),
             service_mean,
         })
         .collect()
@@ -197,43 +209,6 @@ pub fn lcfs_curve(cfg: PanelConfig, k_grid: &[f64], include_own_sched: bool) -> 
             }
         })
         .collect()
-}
-
-enum WaitModel {
-    Unstable,
-    Plain {
-        service: GridDist,
-        lambda: f64,
-    },
-    Convolved {
-        service: GridDist,
-        overhead: GridDist,
-        lambda: f64,
-    },
-}
-
-impl WaitModel {
-    fn tail(&self, k: f64) -> f64 {
-        match self {
-            WaitModel::Unstable => 1.0,
-            WaitModel::Plain { service, lambda } => fcfs_tail(*lambda, service, k),
-            WaitModel::Convolved {
-                service,
-                overhead,
-                lambda,
-            } => {
-                // P(W + S_own > k) = sum_j P(S_own = j) P(W > k - j)
-                let mut p = 0.0;
-                for (j, &pj) in overhead.pmf().iter().enumerate() {
-                    if pj == 0.0 {
-                        continue;
-                    }
-                    p += pj * fcfs_tail(*lambda, service, k - j as f64);
-                }
-                p.min(1.0)
-            }
-        }
-    }
 }
 
 /// Convenience: an evenly spaced `K` grid `{step, 2*step, ..., max}`

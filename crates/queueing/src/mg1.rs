@@ -63,7 +63,18 @@ pub fn fcfs_tail(lambda: f64, service: &GridDist, k: f64) -> f64 {
     }
     let n = (k / service.step()).ceil() as usize + 2;
     let cdf = waiting_time_cdf(lambda, service, n);
-    let idx = ((k / service.step() + 1e-9).floor() as usize).min(cdf.len() - 1);
+    tail_from_cdf(&cdf, service.step(), k)
+}
+
+/// `P(W > k)` read off a [`waiting_time_cdf`] of lattice step `step`
+/// (`1.0` for `k < 0`). The CDF's entries do not depend on how far it was
+/// solved, so any CDF covering `k` gives [`fcfs_tail`]'s value bit for
+/// bit; `k` beyond the CDF reads its last entry.
+pub(crate) fn tail_from_cdf(cdf: &[f64], step: f64, k: f64) -> f64 {
+    if k < 0.0 {
+        return 1.0;
+    }
+    let idx = ((k / step + 1e-9).floor() as usize).min(cdf.len() - 1);
     (1.0 - cdf[idx]).max(0.0)
 }
 
