@@ -25,7 +25,7 @@ use tcw_experiments::plot::{ascii_plot, write_csv, Series};
 use tcw_experiments::replay::{execute, panic_message, replay, FailureRecord};
 use tcw_experiments::runner::{FaultSimPoint, PolicyKind, SimSettings};
 use tcw_experiments::supervise::{supervised_cells, SupervisorOptions};
-use tcw_experiments::sweep::{jobs_from_args, run_parallel_with_progress};
+use tcw_experiments::sweep::{only_jobs_from_args, run_parallel_with_progress};
 use tcw_experiments::{
     observed_cell, write_observability, CellArtifacts, ObsConfig, Panel, SweepMeta,
 };
@@ -108,9 +108,16 @@ fn main() {
             diag::error("robustness", "--replay needs an artifact path");
             std::process::exit(diag::EXIT_USAGE);
         };
+        if let Some(extra) = args.get(2) {
+            diag::error(
+                "robustness",
+                &format!("unknown argument {extra:?} after --replay PATH"),
+            );
+            std::process::exit(diag::EXIT_USAGE);
+        }
         std::process::exit(replay(Path::new(path)));
     }
-    let jobs = jobs_from_args("robustness", &args);
+    let jobs = only_jobs_from_args("robustness", &args);
 
     let results = Path::new("results");
     let failures_dir = results.join("failures");

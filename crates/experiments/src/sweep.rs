@@ -266,6 +266,31 @@ pub fn jobs_from_args(tool: &str, args: &[String]) -> usize {
     })
 }
 
+/// Like [`parse_jobs`], but for a binary whose only own flag is `--jobs`:
+/// any other argument is an error instead of being ignored.
+fn parse_only_jobs(args: &[String]) -> Result<usize, String> {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if a == "--jobs" {
+            it.next();
+        } else if !a.starts_with("--jobs=") {
+            return Err(format!("unknown argument {a:?}"));
+        }
+    }
+    parse_jobs(args)
+}
+
+/// [`jobs_from_args`] for binaries that take no other flag of their own:
+/// call it on what is left after the shared flags are split off. An
+/// unknown or misspelled argument is a usage error (`tool: message`,
+/// exit [`crate::diag::EXIT_USAGE`]) instead of being silently ignored.
+pub fn only_jobs_from_args(tool: &str, args: &[String]) -> usize {
+    parse_only_jobs(args).unwrap_or_else(|e| {
+        crate::diag::error(tool, &e);
+        std::process::exit(crate::diag::EXIT_USAGE)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,6 +330,25 @@ mod tests {
         ] {
             let err = parse_jobs(&args(bad)).unwrap_err();
             assert!(err.starts_with("--jobs"), "{bad:?}: {err}");
+            let err = parse_only_jobs(&args(bad)).unwrap_err();
+            assert!(err.starts_with("--jobs"), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn only_jobs_rejects_every_other_argument() {
+        let args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
+        assert_eq!(parse_only_jobs(&args(&["--jobs", "3"])), Ok(3));
+        assert_eq!(parse_only_jobs(&args(&["--jobs=7"])), Ok(7));
+        assert_eq!(parse_only_jobs(&args(&[])), Ok(default_jobs()));
+        for (bad, arg) in [
+            (&["--jbos", "2", "--resmue", "x"][..], "--jbos"),
+            (&["--jobs", "2", "--quick"], "--quick"),
+            (&["extra"], "extra"),
+            (&["--jobs=2", "-j"], "-j"),
+        ] {
+            let err = parse_only_jobs(&args(bad)).unwrap_err();
+            assert_eq!(err, format!("unknown argument {arg:?}"), "{bad:?}");
         }
     }
 

@@ -26,7 +26,11 @@
 //!
 //! The process is clocked in *probe slots*: the engine steps it once per
 //! channel probe, the only unit of time every surviving station can count
-//! by listening.
+//! by listening. The engine's event-horizon fast path skips ahead with a
+//! peek / advance pair instead: [`ChurnProcess::quiet_slots`] counts the
+//! slots before the next transition, drawing the crash stream once on a
+//! cached copy, and [`ChurnProcess::advance_quiet`] commits them — the
+//! same state as stepping them one by one.
 
 use crate::message::{Message, StationId};
 use tcw_sim::rng::Rng;
@@ -181,7 +185,14 @@ pub struct ChurnProcess {
     restarts: u64,
     joins: u64,
     leaves: u64,
+    /// Crash-stream states after each of the next quiet slots, as scanned
+    /// by [`ChurnProcess::quiet_slots`] (derived state, never serialized).
+    peeked: Vec<[u64; 4]>,
 }
+
+/// Most quiet slots [`ChurnProcess::quiet_slots`] reports when crashes
+/// are possible; bounds the peek cache at 32 KiB.
+const PEEK_CHUNK: u64 = 1024;
 
 impl ChurnProcess {
     /// Creates a membership process over `stations` stations. `rng` must
@@ -221,6 +232,7 @@ impl ChurnProcess {
             restarts: 0,
             joins: 0,
             leaves: 0,
+            peeked: Vec::new(),
         }
     }
 
@@ -310,52 +322,95 @@ impl ChurnProcess {
         msgs.retain(|m| self.is_up(m.station));
     }
 
-    /// The earliest future probe slot (strictly after the current one) at
-    /// which [`step`](Self::step) could emit an event or mutate any
-    /// member's state, or `None` if no transition will ever occur. With a
-    /// positive crash probability (or any station mid-outage) every slot
-    /// can transition, so the answer is the very next slot. The engine's
-    /// event-horizon fast path uses this to bound how many slots it may
-    /// [`skip_slots`](Self::skip_slots) past.
-    pub fn next_scheduled_transition(&self) -> Option<u64> {
+    /// How many of the next probe slots, up to `max`, are *quiet*: slots
+    /// in which [`step`](Self::step) would emit no event. A slot is quiet
+    /// iff no scheduled join or leave falls due, no down station's outage
+    /// ends, and none of the slot's crash draws (one per up station, in
+    /// station order) fires. Down stations still count their outage down
+    /// in a quiet slot; that is deterministic, and
+    /// [`advance_quiet`](Self::advance_quiet) applies it.
+    ///
+    /// The crash draws are made on a copy of the stream and the stream
+    /// state after each quiet slot is cached, so `advance_quiet` installs
+    /// a checkpoint instead of drawing again. The cache is derived state:
+    /// it is never serialized and any [`step`](Self::step) drops it.
+    /// When crashes are possible the answer is capped at 1024 slots, so
+    /// it may fall short of the true quiet run but is never past it; the
+    /// cap does not depend on the cache, so the answer is a function of
+    /// the process state alone. With [`ChurnPlan::none`] every slot is
+    /// quiet.
+    pub fn quiet_slots(&mut self, max: u64) -> u64 {
         if self.plan.is_none() {
-            return None;
+            return max;
         }
-        if self.plan.crash > 0.0 {
-            return Some(self.slot + 1);
-        }
-        let mut next: Option<u64> = None;
-        let consider = |candidate: u64, next: &mut Option<u64>| {
-            let c = candidate.max(self.slot + 1);
-            *next = Some(next.map_or(c, |n: u64| n.min(c)));
-        };
-        for (i, m) in self.state.iter().enumerate() {
-            match m {
-                MemberState::Absent => consider(self.plan.join_slot, &mut next),
-                // A down station mutates (counts down) on every step.
-                MemberState::Down { .. } => consider(self.slot + 1, &mut next),
+        // Deterministic transitions: slot `slot + k` is the first
+        // eventful one for a joiner once `slot + k >= join_slot`, for a
+        // leaver once `slot + k >= leave_at`, and for a down station when
+        // `k >= remaining`.
+        let mut bound = max;
+        for (m, &leave) in self.state.iter().zip(&self.leave_at) {
+            match *m {
+                MemberState::Absent => {
+                    bound = bound.min(self.plan.join_slot.saturating_sub(self.slot + 1));
+                }
+                MemberState::Down { remaining } => bound = bound.min(remaining.saturating_sub(1)),
                 MemberState::Up | MemberState::Left => {}
             }
-            if self.leave_at[i] != u64::MAX && !matches!(m, MemberState::Left) {
-                consider(self.leave_at[i], &mut next);
+            if leave != u64::MAX && *m != MemberState::Left {
+                bound = bound.min(leave.saturating_sub(self.slot + 1));
             }
         }
-        next
+        if self.plan.crash <= 0.0 {
+            return bound;
+        }
+        if self.peeked.len() as u64 >= bound {
+            return bound;
+        }
+        let up = self.state.iter().filter(|m| **m == MemberState::Up).count();
+        let mut rng = match self.peeked.last() {
+            Some(&s) => Rng::from_state(s),
+            None => self.rng.clone(),
+        };
+        let scan_to = bound.min(PEEK_CHUNK);
+        while (self.peeked.len() as u64) < scan_to {
+            // Drawn exactly as `step` draws them; the slot is eventful as
+            // soon as one fires (the rest of its draws never matter here).
+            if (0..up).any(|_| rng.chance(self.plan.crash)) {
+                break;
+            }
+            self.peeked.push(rng.state());
+        }
+        self.peeked.len() as u64
     }
 
-    /// Advances the slot clock by `n` without stepping the state machine,
-    /// for runs of slots proven transition-free via
-    /// [`next_scheduled_transition`](Self::next_scheduled_transition).
-    /// Draws nothing and emits nothing, so it is bit-identical to `n`
-    /// transition-free [`step`](Self::step) calls.
-    pub fn skip_slots(&mut self, n: u64) {
-        debug_assert!(
-            match self.next_scheduled_transition() {
-                None => true,
-                Some(s) => s > self.slot + n,
-            },
-            "skip_slots({n}) would jump over a membership transition"
-        );
+    /// Advances the process over `n` quiet slots, bit-identically to `n`
+    /// [`step`](Self::step) calls that emit nothing: the slot clock moves,
+    /// outages count down, and the crash stream jumps to the state cached
+    /// by [`quiet_slots`](Self::quiet_slots).
+    ///
+    /// # Panics
+    /// Panics if the next `n` slots are not all quiet.
+    pub fn advance_quiet(&mut self, n: u64) {
+        if n == 0 {
+            return;
+        }
+        if !self.plan.is_none() {
+            assert_eq!(
+                self.quiet_slots(n),
+                n,
+                "advance_quiet({n}) would run past a membership transition"
+            );
+            if self.plan.crash > 0.0 {
+                let k = n as usize;
+                self.rng = Rng::from_state(self.peeked[k - 1]);
+                self.peeked.drain(..k);
+            }
+            for m in &mut self.state {
+                if let MemberState::Down { remaining } = m {
+                    *remaining -= n;
+                }
+            }
+        }
         self.slot += n;
     }
 
@@ -364,6 +419,7 @@ impl ChurnProcess {
     /// advances the slot counter and draws nothing from the RNG.
     pub fn step(&mut self, events: &mut Vec<ChurnEvent>) {
         self.slot += 1;
+        self.peeked.clear();
         if self.plan.is_none() {
             return;
         }
@@ -506,6 +562,7 @@ impl ChurnProcess {
             restarts: r.take()?,
             joins: r.take()?,
             leaves: r.take()?,
+            peeked: Vec::new(),
         })
     }
 }

@@ -18,7 +18,11 @@
 //! the caller, so fault sequences are reproducible from the run seed and
 //! independent of every other random stream in the simulation. With
 //! [`FaultPlan::none`] the wrapper draws **nothing** from that stream and
-//! behaves bit-identically to the bare [`Medium`].
+//! behaves bit-identically to the bare [`Medium`]. Because each probe
+//! draws exactly one uniform, the engine's fast path can peek how many
+//! upcoming idle or success probes come through clean
+//! ([`FaultyMedium::clean_probes`]) and commit them in bulk
+//! ([`FaultyMedium::consume_clean`]).
 //!
 //! ## Semantics
 //!
@@ -318,6 +322,47 @@ impl FaultyMedium {
             observed,
             dur,
             fault,
+        }
+    }
+
+    /// Peeks how many of the next probes, up to `max`, would come through
+    /// clean if each were a physical idle slot (`idle = true`) or a
+    /// physical success. [`probe`](Self::probe) draws exactly one uniform
+    /// `u` per probe, and such a slot is clean iff `u` clears every fault
+    /// class applicable to it; this replays those draws on a copy of the
+    /// stream, so the medium itself is untouched. The event-horizon fast
+    /// path bounds its stretches by this count and then commits them with
+    /// [`consume_clean`](Self::consume_clean).
+    pub fn clean_probes(&self, idle: bool, max: u64) -> u64 {
+        // The same float expression as `probe`'s last fault threshold, so
+        // the peek and the probe agree bit for bit.
+        let threshold = self.plan.erasure
+            + if idle {
+                self.plan.idle_to_collision
+            } else {
+                self.plan.success_to_collision
+            };
+        if threshold <= 0.0 {
+            return max;
+        }
+        let mut rng = self.rng.clone();
+        let mut n = 0;
+        while n < max && rng.f64() >= threshold {
+            n += 1;
+        }
+        n
+    }
+
+    /// Commits `n` probes that [`clean_probes`](Self::clean_probes) showed
+    /// to be clean: advances the stream exactly as `n` calls to
+    /// [`probe`](Self::probe) on those slots would. With
+    /// [`FaultPlan::none`] nothing is drawn, as in `probe`.
+    pub fn consume_clean(&mut self, n: u64) {
+        if self.plan.is_none() {
+            return;
+        }
+        for _ in 0..n {
+            self.rng.next_u64();
         }
     }
 }

@@ -9,9 +9,12 @@ use tcw_mac::arrivals::{
     collect_until, ArrivalSource, MergedSource, PiecewiseArrivals, PoissonArrivals, TraceArrivals,
 };
 use tcw_mac::channel::{ChannelConfig, ChannelStats, Medium, SlotOutcome};
+use tcw_mac::churn::{ChurnPlan, ChurnProcess};
+use tcw_mac::fault::{FaultPlan, FaultyMedium};
 use tcw_mac::message::MessageId;
 use tcw_mac::traffic::{SensorConfig, SensorSource, VoiceConfig, VoiceSource};
 use tcw_sim::rng::Rng;
+use tcw_sim::snap::SnapWriter;
 use tcw_sim::time::{Dur, Time};
 
 const CASES: u64 = 150;
@@ -206,4 +209,173 @@ fn medium_and_stats_invariants() {
             counts.iter().filter(|&&n| n == 1).count()
         );
     }
+}
+
+/// A random membership plan over a random population: crash/restart
+/// (sometimes off), late joiners and scheduled leavers, each drawn
+/// independently so every combination occurs.
+fn churn_case(rng: &mut Rng) -> (ChurnPlan, u32) {
+    let crash = match rng.below(3) {
+        0 => 0.0,
+        1 => 0.0005 + 0.005 * rng.f64(),
+        _ => 0.01 + 0.05 * rng.f64(),
+    };
+    let plan = ChurnPlan {
+        crash,
+        down_slots: 1 + rng.below(60),
+        late_join_frac: if rng.chance(0.5) {
+            0.4 * rng.f64()
+        } else {
+            0.0
+        },
+        join_slot: rng.below(400),
+        leave_frac: if rng.chance(0.5) {
+            0.4 * rng.f64()
+        } else {
+            0.0
+        },
+        leave_slot: rng.below(600),
+        catch_up_slots: 100,
+        ..ChurnPlan::none()
+    };
+    (plan, rng.below(40) as u32)
+}
+
+/// The full serialized state of a membership process: plan, crash-stream
+/// position, member states, leave schedule, slot clock and counters.
+fn churn_words(p: &ChurnProcess) -> Vec<u64> {
+    let mut w = SnapWriter::new();
+    p.save_state(&mut w);
+    w.into_words()
+}
+
+/// `quiet_slots(n) = q`, `advance_quiet(k)` for any `k <= q`, then `step`
+/// is bit-identical to `k + 1` plain steps: the same events (none before
+/// the last step), member states, counters and crash-stream state — from
+/// every starting point of a run, mid-outage included.
+#[test]
+fn quiet_peek_and_advance_match_plain_steps() {
+    let mut eventful_stops = 0u64;
+    let mut long_runs = 0u64;
+    for case in 0..CASES {
+        let mut rng = Rng::new(0xACC0_0004 ^ case);
+        let (plan, stations) = churn_case(&mut rng);
+        let mut fast = ChurnProcess::new(plan, stations, Rng::new(case));
+        let mut events = Vec::new();
+        for _ in 0..rng.below(300) {
+            fast.step(&mut events);
+        }
+        for round in 0..40 {
+            let mut slow = fast.clone();
+            let max = rng.below(2_500);
+            let q = fast.quiet_slots(max);
+            assert!(q <= max, "case {case} round {round}: {q} > {max}");
+            let k = if q > 0 && rng.chance(0.25) {
+                rng.below(q + 1)
+            } else {
+                q
+            };
+            fast.advance_quiet(k);
+            let mut fast_events = Vec::new();
+            fast.step(&mut fast_events);
+            let mut slow_events = Vec::new();
+            for _ in 0..=k {
+                slow.step(&mut slow_events);
+            }
+            assert_eq!(fast_events, slow_events, "case {case} round {round}");
+            assert_eq!(
+                churn_words(&fast),
+                churn_words(&slow),
+                "case {case} round {round}: state diverged after {k} quiet slots"
+            );
+            if q < max && k == q && !fast_events.is_empty() {
+                eventful_stops += 1;
+            }
+            if q >= 50 {
+                long_runs += 1;
+            }
+        }
+    }
+    assert!(
+        eventful_stops > 100 && long_runs > 100,
+        "peek suite is vacuous: {eventful_stops} eventful stops, {long_runs} long runs"
+    );
+}
+
+/// The peek cache is derived state: a snapshot taken after a peek is
+/// byte-identical to one taken without it.
+#[test]
+fn churn_peek_leaves_snapshot_unchanged() {
+    for case in 0..CASES {
+        let mut rng = Rng::new(0xACC0_0005 ^ case);
+        let (plan, stations) = churn_case(&mut rng);
+        let mut p = ChurnProcess::new(plan, stations, Rng::new(case));
+        let mut events = Vec::new();
+        for _ in 0..rng.below(300) {
+            p.step(&mut events);
+        }
+        let before = churn_words(&p);
+        let _ = p.quiet_slots(1 + rng.below(2_000));
+        assert_eq!(churn_words(&p), before, "case {case}");
+    }
+}
+
+/// `clean_probes` agrees with `probe`'s own fault decision for physical
+/// idle and success slots, and `consume_clean` leaves the stream exactly
+/// where that many probes would.
+#[test]
+fn clean_probe_peek_matches_probe() {
+    let cfg = ChannelConfig {
+        ticks_per_tau: 4,
+        message_slots: 5,
+        guard: false,
+    };
+    let mut early_stops = 0u64;
+    for case in 0..CASES {
+        let mut rng = Rng::new(0xACC0_0006 ^ case);
+        let mut p = || {
+            if rng.chance(0.3) {
+                0.0
+            } else {
+                0.2 * rng.f64()
+            }
+        };
+        let plan = FaultPlan {
+            success_to_collision: p(),
+            collision_to_success: p(),
+            collision_to_idle: p(),
+            idle_to_collision: p(),
+            erasure: p(),
+            ..FaultPlan::none()
+        };
+        let idle = rng.chance(0.5);
+        let ids: &[MessageId] = if idle { &[] } else { &[MessageId(7)] };
+        let max = rng.below(200);
+        let mut peeked = FaultyMedium::new(Medium::new(cfg), plan, Rng::new(case));
+        let mut probed = peeked.clone();
+        let c = peeked.clean_probes(idle, max);
+        assert!(c <= max, "case {case}");
+        for i in 0..c {
+            assert_eq!(probed.probe(ids).fault, None, "case {case} probe {i}");
+        }
+        peeked.consume_clean(c);
+        if c < max {
+            let (a, b) = (peeked.probe(ids), probed.probe(ids));
+            assert!(
+                b.fault.is_some(),
+                "case {case}: peek stopped on a clean probe"
+            );
+            assert_eq!((a.observed, a.fault), (b.observed, b.fault), "case {case}");
+            early_stops += 1;
+        }
+        for i in 0..20u64 {
+            let ids: Vec<MessageId> = (0..i % 3).map(MessageId).collect();
+            let (a, b) = (peeked.probe(&ids), probed.probe(&ids));
+            assert_eq!((a.observed, a.fault), (b.observed, b.fault), "case {case}");
+        }
+    }
+    assert!(
+        early_stops > 20,
+        "peek never met a faulty probe: {early_stops}"
+    );
 }

@@ -5,13 +5,18 @@
 //!
 //! Unlike [`crate::EventTracer`], the span tracer keeps
 //! [`EngineObserver::slow_path`] at `false`: span events are emitted on
-//! the event-horizon fast path too. That is sound because no message
-//! event can occur inside a jumped idle run (the pending book is empty by
-//! construction) and the batched resolution kernel reports its singleton
-//! window memberships and deliveries through the same callbacks, at the
-//! same instants, as the slot-stepped path — pinned by the
-//! `span_stream_is_identical_on_both_paths` A-B property test in
-//! `tcw-window`.
+//! the event-horizon fast path too. That is sound because both kernels
+//! report through the same callbacks, at the same instants, as the
+//! slot-stepped path: no admission, window or collision event can occur
+//! inside a jumped idle run (the pending book is empty by construction);
+//! the batched resolution kernel reports its singleton window
+//! memberships and deliveries itself; and under fault and churn plans the
+//! eventful churn slots the kernels run inline go through the engine's
+//! own membership step and rejoin prelude, so station-left and
+//! rejoin-expired drops close their spans exactly as they do when every
+//! slot is stepped. Pinned by the `span_stream_is_identical_on_both_paths`
+//! A-B property test in `tcw-window`, which covers fault-only,
+//! churn-only and fault+churn cases.
 //!
 //! The line format is documented at the crate root ([`crate`]). Span
 //! lines carry `seq` and `t` but no `slot` — probe-slot attribution is

@@ -750,35 +750,45 @@ impl<S: ArrivalSource> Engine<S> {
     /// [`Engine::cycle`]. Two kernels:
     ///
     /// * **idle-run jump** — pending book empty: every cycle until the
-    ///   next arrival (bounded by the horizon and the next scheduled churn
-    ///   transition) probes the whole one-`tau` trailing gap idle, so the
-    ///   clock, examined prefix, idle counters and controller feedback are
-    ///   all advanced in O(1) + the controller's own feedback cost;
+    ///   next arrival (bounded by the horizon, the next faulty probe and
+    ///   the next eventful churn slot) probes the whole one-`tau` trailing
+    ///   gap idle, so the clock, examined prefix, idle counters and
+    ///   controller feedback are all advanced in O(1) + the controller's
+    ///   own feedback cost;
     /// * **batched resolution** — pending book nonempty, single trailing
     ///   gap, Oldest position: maximal runs of empty/singleton initial
     ///   windows are resolved without pseudo-map rebuilds or generic
     ///   round dispatch, bailing to the slow path on the first window
-    ///   holding two or more live arrivals.
+    ///   holding two or more live arrivals or whose probe would be faulty.
     ///
-    /// Both kernels require a fault-free medium, no pending recovery work
-    /// (orphans/rejoining) and a non-RANDOM window position, and replicate
-    /// the slow path's operation order exactly — no RNG stream is touched
-    /// differently, so the runs are bit-identical (pinned by the A-B
-    /// property tests). Per-event observer callbacks inside the stretch
-    /// are suppressed; `fast_forward` is only reached when the observer
-    /// declared itself aggregate-only via [`EngineObserver::slow_path`].
+    /// Fault and churn plans keep the kernels on. Each process exposes a
+    /// peek on its own RNG stream ([`FaultyMedium::clean_probes`],
+    /// [`ChurnProcess::quiet_slots`]): a stretch stops before the first
+    /// faulty probe, which `cycle` then draws itself, and an eventful
+    /// churn slot whose probe is clean runs inside the kernel through the
+    /// real [`Engine::churn_step`], in `cycle`'s operation order. Every
+    /// decision point runs the shared rejoin prelude
+    /// ([`Engine::rejoin_recovery`]); the kernels only bail while orphans
+    /// wait to be reopened or under the RANDOM window position. No RNG
+    /// stream is touched differently, so the runs are bit-identical
+    /// (pinned by the A-B property tests). Per-probe observer callbacks
+    /// inside the stretch are suppressed; `fast_forward` is only reached
+    /// when the observer declared itself aggregate-only via
+    /// [`EngineObserver::slow_path`].
     fn fast_forward(&mut self, limit: Time, obs: &mut dyn EngineObserver) -> bool {
-        if !self.medium.plan().is_none()
-            || !self.orphans.is_empty()
-            || !self.rejoining.is_empty()
-            || matches!(self.policy.position, WindowPosition::Random)
-        {
+        if matches!(self.policy.position, WindowPosition::Random) {
             return false;
         }
         let tau = self.medium.config().tau();
-        // `ingest` is idempotent at fixed `now`: bailing to `cycle()`
-        // afterwards re-runs it as a no-op.
-        self.ingest(self.timeline.now(), obs);
+        // `ingest` is idempotent at fixed `now` and the rejoin prelude
+        // drains its queue: bailing to `cycle()` afterwards re-runs both
+        // as no-ops.
+        let now = self.timeline.now();
+        self.ingest(now, obs);
+        self.rejoin_recovery(now, obs);
+        if !self.orphans.is_empty() {
+            return false;
+        }
         if self.pending.is_empty() {
             self.idle_jump(limit, tau, obs)
         } else {
@@ -792,10 +802,12 @@ impl<S: ArrivalSource> Engine<S> {
     /// idle probe of the whole gap. `n` such cycles leave the system in a
     /// closed-form state: clock `+n*tau`, examined prefix extended by
     /// `(n-1)*tau` (the final gap stays unexamined), `n` idle slots of
-    /// channel time, `n` churn slots with no transitions, and `n`
-    /// identical `Initial`/`Idle` feedback events — which
+    /// channel time, `n` clean fault draws, and `n` identical
+    /// `Initial`/`Idle` feedback events — which
     /// [`WindowController::on_idle_run`] applies (or replays) exactly.
-    /// No RNG stream is touched, matching the slow path draw-for-draw.
+    /// The stretch covers the quiet churn slots and, when the run ends at
+    /// an eventful one, that slot too: its membership step is the real
+    /// [`Engine::churn_step`], with the clock already at the slot's end.
     fn idle_jump(&mut self, limit: Time, tau: Dur, obs: &mut dyn EngineObserver) -> bool {
         // A sub-`tau` discard deadline would eat into the trailing gap at
         // every cycle; leave that pathology to the slow path.
@@ -824,9 +836,11 @@ impl<S: ArrivalSource> Engine<S> {
             // exhausted, so there is no arrival bound.
             None => debug_assert!(self.source_done),
         }
-        if let Some(s) = self.churn.next_scheduled_transition() {
-            n = n.min(s - self.churn.slot() - 1);
-        }
+        // Every probe of the stretch must be clean, and at most its last
+        // slot may carry a membership transition.
+        n = self.medium.clean_probes(true, n);
+        let quiet = self.churn.quiet_slots(n);
+        n = n.min(quiet + 1);
         if n == 0 {
             return false;
         }
@@ -835,14 +849,18 @@ impl<S: ArrivalSource> Engine<S> {
             return false;
         }
         let to = now + Dur::from_ticks(consumed * tau_ticks);
+        self.channel_stats.idle += Dur::from_ticks(consumed * tau_ticks);
+        self.channel_stats.idle_slots += consumed;
+        self.medium.consume_clean(consumed);
         self.timeline.advance(to);
+        self.churn.advance_quiet(consumed.min(quiet));
+        if consumed > quiet {
+            self.churn_step(obs);
+        }
         self.timeline.mark_examined(Interval::new(
             gap.lo,
             now + Dur::from_ticks((consumed - 1) * tau_ticks),
         ));
-        self.channel_stats.idle += Dur::from_ticks(consumed * tau_ticks);
-        self.channel_stats.idle_slots += consumed;
-        self.churn.skip_slots(consumed);
         self.horizon_stats.jumps += 1;
         self.horizon_stats.slots_skipped += consumed;
         obs.on_idle_jump(now, to, consumed);
@@ -854,32 +872,41 @@ impl<S: ArrivalSource> Engine<S> {
     /// interval at the gap's old edge, so counting its live occupants is
     /// one `BTreeMap` range probe — no pseudo-map rebuild, no segment
     /// materialization. Empty and singleton windows resolve in one step
-    /// (idle round / immediate success); the first window holding two or
-    /// more live arrivals ends the batch and falls back to the generic
-    /// round (re-entry is idempotent: nothing beyond `ingest`, the
-    /// discard sweep and an idempotent `next_length` has happened for the
-    /// aborted round, and no RNG was drawn).
+    /// (idle round / immediate success), including the round's fault draw
+    /// and its churn step. The first window holding two or more live
+    /// arrivals, or whose fault draw (peeked before anything else of the
+    /// round is mutated) would corrupt the probe, ends the batch and falls
+    /// back to the generic round. Re-entry is idempotent: nothing beyond
+    /// `ingest`, the rejoin prelude, the discard sweep and an idempotent
+    /// `next_length` has happened for the aborted round, and no RNG was
+    /// drawn.
     fn batched_rounds(&mut self, limit: Time, tau: Dur, obs: &mut dyn EngineObserver) -> bool {
         if !matches!(self.policy.position, WindowPosition::Oldest) {
             return false;
         }
         let from = self.timeline.now();
+        // Plan checks hoisted out of the per-round loop: a clean run pays
+        // no peek and no membership filter.
+        let faulty = !self.medium.plan().is_none();
+        let churning = !self.churn.plan().is_none();
+        let success_dur = if self.medium.config().guard {
+            self.medium.config().message_duration() + tau
+        } else {
+            self.medium.config().message_duration()
+        };
         let mut done: u64 = 0;
         loop {
             let now = self.timeline.now();
             if now >= limit {
                 break;
             }
-            // The single churn slot this round consumes must be
-            // transition-free; an eventful slot needs `cycle`'s handlers.
-            if self
-                .churn
-                .next_scheduled_transition()
-                .is_some_and(|s| s <= self.churn.slot() + 1)
-            {
-                break;
-            }
             self.ingest(now, obs);
+            if churning {
+                self.rejoin_recovery(now, obs);
+                if !self.orphans.is_empty() {
+                    break;
+                }
+            }
             // Book drained and the timeline back in its steady idle
             // shape: hand the stretch to the O(1) idle jump instead of
             // stepping tau-wide idle rounds one loop iteration each.
@@ -924,7 +951,6 @@ impl<S: ArrivalSource> Engine<S> {
             // unexamined region is one interval.
             let w = length.max(1).min(backlog.ticks());
             let span = Interval::new(gap.lo, gap.lo + Dur::from_ticks(w));
-            let filter_churn = !self.churn.plan().is_none();
             let mut first: Option<Message> = None;
             let mut live = 0usize;
             for m in self
@@ -932,7 +958,7 @@ impl<S: ArrivalSource> Engine<S> {
                 .range((span.lo, MessageId(0))..(span.hi, MessageId(0)))
                 .map(|(_, m)| m)
             {
-                if filter_churn && !self.churn.is_up(m.station) {
+                if churning && !self.churn.is_up(m.station) {
                     continue;
                 }
                 live += 1;
@@ -945,6 +971,14 @@ impl<S: ArrivalSource> Engine<S> {
             if live >= 2 {
                 break; // genuine collision: generic splitting machinery
             }
+            // The round's one fault draw must come out clean; a faulty
+            // one is left for `cycle` to draw.
+            if faulty {
+                if self.medium.clean_probes(first.is_none(), 1) == 0 {
+                    break;
+                }
+                self.medium.consume_clean(1);
+            }
             // Operation order replicates the slow path exactly: stats,
             // controller feedback, clock, delivery, churn slot, examined
             // marking.
@@ -954,22 +988,13 @@ impl<S: ArrivalSource> Engine<S> {
                     self.controller
                         .on_slot(SlotContext::Initial { width: w }, &SlotOutcome::Idle);
                     self.timeline.advance(now + tau);
-                    self.churn.skip_slots(1);
-                    self.timeline.mark_examined(span);
                 }
                 Some(msg) => {
-                    let (outcome, dur) = (
-                        SlotOutcome::Success(msg.id),
-                        if self.medium.config().guard {
-                            self.medium.config().message_duration() + tau
-                        } else {
-                            self.medium.config().message_duration()
-                        },
-                    );
-                    self.channel_stats.record(&outcome, dur);
+                    let outcome = SlotOutcome::Success(msg.id);
+                    self.channel_stats.record(&outcome, success_dur);
                     self.controller
                         .on_slot(SlotContext::Initial { width: w }, &outcome);
-                    self.timeline.advance(now + dur);
+                    self.timeline.advance(now + success_dur);
                     // The singleton's span events (window membership, then
                     // delivery inside `complete_transmission`) are emitted
                     // here with the same instants as the slow path's
@@ -978,10 +1003,14 @@ impl<S: ArrivalSource> Engine<S> {
                     // Delivery precedes the end-of-slot churn transitions,
                     // as in the slow path.
                     self.complete_transmission(msg, now, now, 0, obs);
-                    self.churn.skip_slots(1);
-                    self.timeline.mark_examined(span);
                 }
             }
+            if churning {
+                self.churn_step(obs);
+            } else {
+                self.churn.advance_quiet(1);
+            }
+            self.timeline.mark_examined(span);
             done += 1;
         }
         if done == 0 {
@@ -1039,57 +1068,7 @@ impl<S: ArrivalSource> Engine<S> {
         let now = self.timeline.now();
         self.ingest(now, obs);
 
-        // Membership recovery: stations that restarted since the last
-        // decision point cold-start from this beacon. Backlog stranded in
-        // examined time while they were down is recovered through the
-        // orphan-reopen path if it is young enough to catch up, and
-        // dropped as churn loss otherwise; backlog still in unexamined
-        // time needs no help — the windowing process will reach it.
-        if !self.rejoining.is_empty() {
-            let catch_up = Dur::from_ticks(
-                self.churn
-                    .plan()
-                    .catch_up_slots
-                    .saturating_mul(self.medium.config().ticks_per_tau),
-            );
-            std::mem::swap(&mut self.rejoining, &mut self.rejoining_swap);
-            let mut keys = std::mem::take(&mut self.sweep_keys);
-            for i in 0..self.rejoining_swap.len() {
-                let (station, restart_slot) = self.rejoining_swap[i];
-                self.metrics
-                    .on_rejoin(self.churn.slot().saturating_sub(restart_slot));
-                keys.clear();
-                keys.extend(
-                    self.pending
-                        .iter()
-                        .filter(|(_, m)| m.station == station)
-                        .map(|(&k, _)| k),
-                );
-                for &(arrival, id) in &keys {
-                    if !self.timeline.is_examined(arrival) {
-                        continue;
-                    }
-                    if arrival + catch_up >= now {
-                        if !self.orphans.contains(&(arrival, id)) {
-                            self.orphans.push((arrival, id));
-                            self.metrics.on_churn_reopen();
-                        }
-                    } else {
-                        let msg = self
-                            .pending
-                            .remove(&(arrival, id))
-                            .expect("key just observed");
-                        self.busy_stations.remove(&msg.station);
-                        self.fault_touched.remove(&msg.id);
-                        self.churn_touched.remove(&msg.id);
-                        self.metrics.on_churn_drop(msg.arrival);
-                        obs.on_message_drop(&msg, now, DropCause::RejoinExpired);
-                    }
-                }
-            }
-            self.rejoining_swap.clear();
-            self.sweep_keys = keys;
-        }
+        self.rejoin_recovery(now, obs);
 
         // Fault recovery: reopen the arrival intervals of messages
         // stranded in examined time by a misread slot so the windowing
@@ -1179,6 +1158,63 @@ impl<S: ArrivalSource> Engine<S> {
             }
         }
         self.pseudo = pm;
+    }
+
+    /// Membership recovery at a decision point: stations that restarted
+    /// since the last one cold-start from this beacon. Backlog stranded in
+    /// examined time while they were down is recovered through the
+    /// orphan-reopen path if it is young enough to catch up, and dropped
+    /// as churn loss otherwise; backlog still in unexamined time needs no
+    /// help — the windowing process will reach it. Shared by `cycle` and
+    /// every fast-path decision point, so a restart never forces a slow
+    /// cycle; it is a no-op once `rejoining` is drained.
+    fn rejoin_recovery(&mut self, now: Time, obs: &mut dyn EngineObserver) {
+        if self.rejoining.is_empty() {
+            return;
+        }
+        let catch_up = Dur::from_ticks(
+            self.churn
+                .plan()
+                .catch_up_slots
+                .saturating_mul(self.medium.config().ticks_per_tau),
+        );
+        std::mem::swap(&mut self.rejoining, &mut self.rejoining_swap);
+        let mut keys = std::mem::take(&mut self.sweep_keys);
+        for i in 0..self.rejoining_swap.len() {
+            let (station, restart_slot) = self.rejoining_swap[i];
+            self.metrics
+                .on_rejoin(self.churn.slot().saturating_sub(restart_slot));
+            keys.clear();
+            keys.extend(
+                self.pending
+                    .iter()
+                    .filter(|(_, m)| m.station == station)
+                    .map(|(&k, _)| k),
+            );
+            for &(arrival, id) in &keys {
+                if !self.timeline.is_examined(arrival) {
+                    continue;
+                }
+                if arrival + catch_up >= now {
+                    if !self.orphans.contains(&(arrival, id)) {
+                        self.orphans.push((arrival, id));
+                        self.metrics.on_churn_reopen();
+                    }
+                } else {
+                    let msg = self
+                        .pending
+                        .remove(&(arrival, id))
+                        .expect("key just observed");
+                    self.busy_stations.remove(&msg.station);
+                    self.fault_touched.remove(&msg.id);
+                    self.churn_touched.remove(&msg.id);
+                    self.metrics.on_churn_drop(msg.arrival);
+                    obs.on_message_drop(&msg, now, DropCause::RejoinExpired);
+                }
+            }
+        }
+        self.rejoining_swap.clear();
+        self.sweep_keys = keys;
     }
 
     /// Fills `out` with the pending messages whose arrival time lies

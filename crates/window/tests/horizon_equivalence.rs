@@ -12,8 +12,14 @@
 //! 200 randomized configurations sweep offered load (weighted toward
 //! the light-load regime where the jump engages), population, channel
 //! geometry, window policy, all three controllers, fault plans and
-//! churn plans. Cases reproduce from their index (deterministic
-//! `tcw_sim` RNG, no external framework).
+//! churn plans. Twelve more are shaped like the robustness and churn
+//! sweep grids (M = 25, 50 stations, K = 100 tau): `FaultPlan::uniform(0.10)`,
+//! crash 0.005 with 40-slot outages and a 100-slot catch-up, both
+//! together, and scheduled joins and leaves. The suite asserts that the
+//! fast path engages on the fault-only, churn-only and fault+churn
+//! subsets alike, so equality under plans is never vacuous. Cases
+//! reproduce from their index (deterministic `tcw_sim` RNG, no external
+//! framework).
 
 use tcw_mac::{ChannelConfig, ChurnPlan, FaultPlan, PoissonArrivals};
 use tcw_sim::rng::Rng;
@@ -25,6 +31,8 @@ use tcw_window::trace::NoopObserver;
 use tcw_window::{AimdConfig, ControllerConfig, EstimatorConfig};
 
 const CASES: u64 = 200;
+/// Sweep-grid-shaped cases, numbered after the randomized ones.
+const GRID_CASES: u64 = 12;
 
 /// One randomized engine configuration, reproducible from the case
 /// index.
@@ -93,6 +101,54 @@ fn draw_case(case: u64) -> Case {
         churn,
         ctl,
         horizon: 20_000 + rng.below(40_000),
+    }
+}
+
+/// Case `CASES + i`: the robustness and churn sweep grids in miniature.
+/// Four plan shapes (faults, crashes, both, scheduled join/leave with
+/// crashes) at each of the sweeps' three loads.
+fn grid_case(i: u64) -> Case {
+    let channel = ChannelConfig {
+        ticks_per_tau: 16,
+        message_slots: 25,
+        guard: false,
+    };
+    let tau = |n: u64| Dur::from_ticks(16 * n);
+    let crash = ChurnPlan::crash_restart(0.005, 40, 100);
+    let (plan, churn) = match i % 4 {
+        0 => (FaultPlan::uniform(0.10), ChurnPlan::none()),
+        1 => (FaultPlan::none(), crash),
+        2 => (FaultPlan::uniform(0.10), crash),
+        _ => (
+            FaultPlan::none(),
+            ChurnPlan {
+                late_join_frac: 0.2,
+                join_slot: 3_000,
+                leave_frac: 0.1,
+                leave_slot: 9_000,
+                ..crash
+            },
+        ),
+    };
+    Case {
+        channel,
+        policy: ControlPolicy::controlled(tau(100), tau(3)),
+        rho: [0.25, 0.50, 0.75][(i / 4) as usize],
+        stations: 50,
+        seed: 0xC0DE ^ i,
+        plan,
+        churn,
+        ctl: ControllerConfig::Static,
+        horizon: 400_000,
+    }
+}
+
+/// Case `index` of the whole suite: randomized first, then the grid.
+fn case(index: u64) -> Case {
+    if index < CASES {
+        draw_case(index)
+    } else {
+        grid_case(index - CASES)
     }
 }
 
@@ -173,14 +229,15 @@ fn summary(eng: &Engine<PoissonArrivals>) -> String {
 
 /// Jump-ahead on vs. forced slot stepping: bit-identical on every
 /// configuration, and the fast path genuinely engages across the suite
-/// (a vacuously-equal test with the jump never firing would prove
-/// nothing).
+/// — with no plan, and separately on the fault-only, churn-only and
+/// fault+churn subsets (a vacuously-equal test with the jump never
+/// firing would prove nothing).
 #[test]
 fn jump_ahead_is_bit_identical_to_slot_stepping() {
-    let mut total_jumps = 0u64;
-    let mut total_batched = 0u64;
-    for case in 0..CASES {
-        let cfg = draw_case(case);
+    // (jumps, batched runs) per subset: clean, faults, churn, both.
+    let mut engaged = [(0u64, 0u64); 4];
+    for index in 0..CASES + GRID_CASES {
+        let cfg = case(index);
         let horizon = Time::from_ticks(cfg.horizon);
 
         let mut fast = build(&cfg);
@@ -196,20 +253,26 @@ fn jump_ahead_is_bit_identical_to_slot_stepping() {
         assert_eq!(
             summary(&fast),
             summary(&slow),
-            "case {case}: fast path diverged from slot stepping"
+            "case {index}: fast path diverged from slot stepping"
         );
         assert_eq!(
             slow.horizon_stats.jumps + slow.horizon_stats.batched_runs,
             0,
-            "case {case}: disabled fast path must not activate"
+            "case {index}: disabled fast path must not activate"
         );
-        total_jumps += fast.horizon_stats.jumps;
-        total_batched += fast.horizon_stats.batched_runs;
+        let subset = usize::from(!cfg.plan.is_none()) + 2 * usize::from(!cfg.churn.is_none());
+        engaged[subset].0 += fast.horizon_stats.jumps;
+        engaged[subset].1 += fast.horizon_stats.batched_runs;
     }
-    assert!(
-        total_jumps > 0 && total_batched > 0,
-        "fast path never engaged: jumps={total_jumps} batched={total_batched}"
-    );
+    for (name, (jumps, batched)) in ["clean", "fault-only", "churn-only", "fault+churn"]
+        .iter()
+        .zip(engaged)
+    {
+        assert!(
+            jumps > 0 && batched > 0,
+            "fast path never engaged on the {name} cases: jumps={jumps} batched={batched}"
+        );
+    }
 }
 
 /// A slow-path-demanding observer disables the fast path even when
@@ -282,16 +345,22 @@ impl tcw_window::trace::EngineObserver for SpanLog {
         self.lines
             .push(format!("drop {:?} {} {}", msg.id, now, cause.label()));
     }
+    fn on_churn_event(&mut self, now: Time, ev: &tcw_mac::ChurnEvent) {
+        self.lines.push(format!("churn {ev:?} {now}"));
+    }
 }
 
 /// The lifecycle-span stream is a fast-path-safe observation: recording
-/// it must leave the fast path engaged, and the recorded stream must be
-/// byte-identical to the one a forced slot-stepped run produces.
+/// it must leave the fast path engaged, and the recorded stream — churn
+/// events and drops included, which the kernels now emit for the
+/// eventful slots they run — must be byte-identical to the one a forced
+/// slot-stepped run produces. Covers a quarter of the randomized cases
+/// and every grid case.
 #[test]
 fn span_stream_is_identical_on_both_paths() {
     let mut engaged = 0u64;
-    for case in 0..CASES / 4 {
-        let cfg = draw_case(case);
+    for index in (0..CASES / 4).chain(CASES..CASES + GRID_CASES) {
+        let cfg = case(index);
         let horizon = Time::from_ticks(cfg.horizon);
 
         let mut fast = build(&cfg);
@@ -310,15 +379,15 @@ fn span_stream_is_identical_on_both_paths() {
         assert_eq!(
             slow.horizon_stats.jumps + slow.horizon_stats.batched_runs,
             0,
-            "case {case}: slow_path() observer must force slot stepping"
+            "case {index}: slow_path() observer must force slot stepping"
         );
 
         assert_eq!(
             fast_log.lines.join("\n"),
             slow_log.lines.join("\n"),
-            "case {case}: span stream diverged between paths"
+            "case {index}: span stream diverged between paths"
         );
-        assert_eq!(summary(&fast), summary(&slow), "case {case}");
+        assert_eq!(summary(&fast), summary(&slow), "case {index}");
     }
     assert!(engaged > 0, "fast path never engaged under the span log");
 }

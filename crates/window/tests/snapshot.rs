@@ -437,3 +437,70 @@ fn snapshot_mid_jump_continues_bit_identically() {
         );
     }
 }
+
+/// Checkpoint/restore in the middle of fast-path stretches under fault and
+/// churn plans: the kernels peek the fault and crash streams (the churn
+/// peek caches stream states that are never serialized) and run eventful
+/// churn slots inline. A run snapshotted wherever a stretch lands and
+/// restored into a fresh engine finishes bit-identically to the
+/// uninterrupted run and to the slot-stepped run, and keeps taking both
+/// kernels after the restore; the snapshot format version is unchanged.
+#[test]
+fn snapshot_mid_stretch_under_plans_is_bit_identical() {
+    let plan = FaultPlan::uniform(0.05);
+    let churn = ChurnPlan {
+        late_join_frac: 0.2,
+        join_slot: 4_000,
+        leave_frac: 0.1,
+        leave_slot: 12_000,
+        ..ChurnPlan::crash_restart(0.002, 40, 100)
+    };
+    let moderate = |seed: u64, ctl: &ControllerConfig| {
+        let mut eng = poisson_engine(channel(), policy(), measure(), 0.2, 20, seed);
+        eng.set_fault_plan(plan);
+        eng.set_churn_plan(churn, 20);
+        eng.set_controller(ctl.build());
+        eng
+    };
+    for ctl in controllers() {
+        let mut full = moderate(41, &ctl);
+        full.run_until(Time::from_ticks(HORIZON), &mut NoopObserver);
+        full.drain(&mut NoopObserver);
+        let reference = fingerprint(&full, "");
+        assert!(
+            full.horizon_stats.jumps > 0 && full.horizon_stats.batched_runs > 0,
+            "{ctl:?}: plans must leave both kernels engaged: {:?}",
+            full.horizon_stats
+        );
+
+        let mut stepped = moderate(41, &ctl);
+        stepped.set_jump_ahead(false);
+        stepped.run_until(Time::from_ticks(HORIZON), &mut NoopObserver);
+        stepped.drain(&mut NoopObserver);
+        assert_eq!(fingerprint(&stepped, ""), reference, "{ctl:?}: fast path");
+
+        for split in [5_003, 21_011, 47_777, 70_001] {
+            let mut first = moderate(41, &ctl);
+            first.run_until(Time::from_ticks(split), &mut NoopObserver);
+            let at_split = first.horizon_stats;
+            let words = first.snapshot().expect("snapshot mid-stretch");
+            assert_eq!(words[1], 3, "snapshot format version changed");
+            drop(first);
+
+            let mut second = moderate(41 ^ 0xdead_beef, &ctl);
+            second.restore(&words).expect("restore mid-stretch");
+            second.run_until(Time::from_ticks(HORIZON), &mut NoopObserver);
+            second.drain(&mut NoopObserver);
+            assert_eq!(
+                fingerprint(&second, ""),
+                reference,
+                "{ctl:?}: split {split} diverged after restore"
+            );
+            assert!(
+                second.horizon_stats.jumps > at_split.jumps
+                    && second.horizon_stats.batched_runs > at_split.batched_runs,
+                "{ctl:?}: split {split}: restored engine left the fast path"
+            );
+        }
+    }
+}
