@@ -21,13 +21,10 @@
 //! (metrics snapshot labeled by variant) and `--progress` (stderr
 //! progress line).
 
+use std::sync::Arc;
 use tcw_experiments::plot::write_csv;
 use tcw_experiments::runner::{measure_window, run_to_horizon};
-use tcw_experiments::sweep::{jobs_from_args, run_parallel_with_progress};
-use tcw_experiments::{
-    diag, observe_engine_cell, write_observability, Capture, CellArtifacts, ObsConfig, Panel,
-    SimSettings, SweepMeta,
-};
+use tcw_experiments::{supervised_cells, Cli, JournalItem, Panel, SimSettings};
 use tcw_mdp::howard::policy_iteration;
 use tcw_mdp::smdp::{Smdp, SmdpConfig};
 use tcw_queueing::marching::{controlled_curve, PanelConfig};
@@ -65,45 +62,61 @@ struct Outcome {
     blocked_frac: f64,
 }
 
-fn run_cell(cell: &Cell, index: usize, caps: Capture) -> (Outcome, CellArtifacts) {
-    let seed_s = format!("{}", cell.seed);
-    let labels = [("variant", cell.name.as_str()), ("seed", seed_s.as_str())];
-    observe_engine_cell(caps, index, &cell.name, &labels, |obs, sink| {
-        let settings = cell.settings;
-        let tpt = settings.ticks_per_tau;
-        let channel = tcw_mac::ChannelConfig {
-            ticks_per_tau: tpt,
-            message_slots: PANEL.m,
-            guard: settings.guard,
-        };
-        let measure = measure_window(PANEL.lambda(), settings, Dur::from_ticks(K_TAU * tpt));
-        let measure_end = measure.end.ticks();
-        let stations = cell.single_buffer.unwrap_or(50);
-        let mut eng = poisson_engine(
-            channel,
-            cell.policy.clone(),
-            measure,
-            PANEL.rho_prime,
-            stations,
-            cell.seed,
-        );
-        if cell.single_buffer.is_some() {
-            eng.set_single_buffer_stations(true);
+impl JournalItem for Outcome {
+    fn encode(&self, w: &mut tcw_sim::snap::SnapWriter) {
+        for x in [self.loss, self.ci, self.utilization, self.blocked_frac] {
+            w.push_f64(x);
         }
-        run_to_horizon(
-            &mut eng,
-            Time::from_ticks(measure_end + measure_end / 10),
-            obs,
-            sink,
-        );
-        let offered = eng.metrics.offered().max(1);
-        Outcome {
-            loss: eng.metrics.loss_fraction(),
-            ci: eng.metrics.loss_ci95(),
-            utilization: eng.channel_stats.utilization(),
-            blocked_frac: eng.metrics.blocked() as f64 / offered as f64,
-        }
-    })
+    }
+    fn decode(r: &mut tcw_sim::snap::SnapReader) -> Result<Self, tcw_sim::snap::SnapError> {
+        Ok(Outcome {
+            loss: r.take_f64()?,
+            ci: r.take_f64()?,
+            utilization: r.take_f64()?,
+            blocked_frac: r.take_f64()?,
+        })
+    }
+}
+
+fn run_cell(
+    cell: &Cell,
+    obs: &mut dyn tcw_window::trace::EngineObserver,
+    sink: Option<&mut dyn tcw_sim::stats::MetricSink>,
+) -> Outcome {
+    let settings = cell.settings;
+    let tpt = settings.ticks_per_tau;
+    let channel = tcw_mac::ChannelConfig {
+        ticks_per_tau: tpt,
+        message_slots: PANEL.m,
+        guard: settings.guard,
+    };
+    let measure = measure_window(PANEL.lambda(), settings, Dur::from_ticks(K_TAU * tpt));
+    let measure_end = measure.end.ticks();
+    let stations = cell.single_buffer.unwrap_or(50);
+    let mut eng = poisson_engine(
+        channel,
+        cell.policy.clone(),
+        measure,
+        PANEL.rho_prime,
+        stations,
+        cell.seed,
+    );
+    if cell.single_buffer.is_some() {
+        eng.set_single_buffer_stations(true);
+    }
+    run_to_horizon(
+        &mut eng,
+        Time::from_ticks(measure_end + measure_end / 10),
+        obs,
+        sink,
+    );
+    let offered = eng.metrics.offered().max(1);
+    Outcome {
+        loss: eng.metrics.loss_fraction(),
+        ci: eng.metrics.loss_ci95(),
+        utilization: eng.channel_stats.utilization(),
+        blocked_frac: eng.metrics.blocked() as f64 / offered as f64,
+    }
 }
 
 fn controlled_with(
@@ -123,15 +136,7 @@ fn controlled_with(
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = match ObsConfig::split_args(&raw) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("ablate", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
-    let jobs = jobs_from_args("ablate", &args);
+    let cli = Cli::from_env("ablate", &[]);
     let settings = SimSettings {
         messages: 30_000,
         warmup: 3_000,
@@ -342,16 +347,24 @@ fn main() {
         cells.push(c);
     }
 
-    let caps = obs.capture();
-    let progress = obs
-        .progress
-        .then(|| tcw_obs::Progress::new(cells.len(), jobs));
-    let outcomes =
-        run_parallel_with_progress(&cells, jobs, progress.as_ref(), |i, c| run_cell(c, i, caps));
-    if let Some(p) = &progress {
-        p.finish();
-    }
-    let (outcomes, cell_artifacts): (Vec<_>, Vec<_>) = outcomes.into_iter().unzip();
+    // The settings and every variant's seed define the grid; any change
+    // invalidates a resume journal.
+    let mut words = vec![K_TAU, settings.messages, settings.warmup];
+    words.extend(cells.iter().map(|c| c.seed));
+    let cells = Arc::new(cells);
+    let grid = Arc::clone(&cells);
+    let outcomes = supervised_cells(
+        &cli,
+        cells.len(),
+        tcw_sim::snap::checksum(&words),
+        |i| {
+            let c = &cells[i];
+            let labels = vec![("variant", c.name.clone()), ("seed", format!("{}", c.seed))];
+            (c.name.clone(), labels)
+        },
+        |_, _| None,
+        move |i, obs, sink| run_cell(&grid[i], obs, sink),
+    );
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     for (c, r) in cells.iter().zip(&outcomes) {
@@ -422,15 +435,5 @@ fn main() {
 
     let path = std::path::PathBuf::from("results/ablations.csv");
     write_csv(&path, &["variant", "loss", "ci95", "utilization"], &rows).expect("csv");
-    if let Err(e) = write_observability(
-        &obs,
-        &cell_artifacts,
-        SweepMeta {
-            cells: cell_artifacts.len(),
-        },
-    ) {
-        diag::error("ablate", &e);
-        std::process::exit(diag::EXIT_FAILURE);
-    }
     println!("\nresults: {}", path.display());
 }

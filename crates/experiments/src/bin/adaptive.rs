@@ -7,8 +7,9 @@
 //! oracle per cell. Results land in `results/adaptive.csv` and
 //! `results/adaptive.txt`.
 //!
-//! Every cell runs under a panic guard; a panic writes a replay
-//! artifact under `results/failures/`. Modes:
+//! Every cell runs under the sweep supervisor; a cell that keeps
+//! panicking is quarantined and its replay artifact written under
+//! `results/failures/`. Modes:
 //!
 //! ```text
 //! adaptive [--jobs N] [--trace-events P] [--metrics P] [--progress]
@@ -17,20 +18,14 @@
 //! adaptive --replay PATH                  # must reproduce the recorded outcome
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use tcw_experiments::adaptive::{
-    episode, execute, replay, run_cell, AdaptiveRecord, CellOutcome, ControllerKind, Scenario,
-    BASE_SEED, REPLICATES,
+    episode, execute, replay, run_cell, AdaptiveRecord, ControllerKind, Scenario, BASE_SEED,
+    REPLICATES,
 };
 use tcw_experiments::diag;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
-use tcw_experiments::replay::panic_message;
-use tcw_experiments::supervise::{supervised_cells, SupervisorOptions};
-use tcw_experiments::sweep::{jobs_from_args, run_parallel_with_progress};
-use tcw_experiments::{
-    observe_engine_cell, write_observability, Capture, CellArtifacts, ObsConfig, SweepMeta,
-};
+use tcw_experiments::{supervised_cells, Cli, Flag};
 use tcw_sim::rng::stream_seed;
 
 /// Load-step instants at which `--episode` samples the commanded window
@@ -57,8 +52,8 @@ fn episode_mode() -> i32 {
 }
 
 fn record_mode(args: &[String]) -> i32 {
-    let [scenario, controller, replicate, path] = &args[..4] else {
-        unreachable!("caller checked arity");
+    let [scenario, controller, replicate, path] = args else {
+        unreachable!("--record takes exactly four operands");
     };
     let Some(scenario) = Scenario::parse(scenario) else {
         diag::error("adaptive", &format!("unknown scenario {scenario:?}"));
@@ -91,49 +86,23 @@ fn record_mode(args: &[String]) -> i32 {
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = match ObsConfig::split_args(&raw) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("adaptive", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
-    let (sup, args) = match SupervisorOptions::split_args(&args) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("adaptive", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
-    if sup.is_some() && obs.wants_telemetry() {
-        diag::error(
-            "adaptive",
-            "supervision flags are incompatible with --trace-events/--spans/--metrics",
-        );
-        std::process::exit(diag::EXIT_USAGE);
+    let cli = Cli::from_env(
+        "adaptive",
+        &[
+            Flag::value("--replay").alone(),
+            Flag::operands("--record", 4, 4).alone(),
+            Flag::switch("--episode").alone(),
+        ],
+    );
+    if let Some(path) = cli.operands("--replay") {
+        std::process::exit(replay(Path::new(&path[0])));
     }
-    if args.first().is_some_and(|a| a == "--replay") {
-        let Some(path) = args.get(1) else {
-            diag::error("adaptive", "--replay needs an artifact path");
-            std::process::exit(diag::EXIT_USAGE);
-        };
-        std::process::exit(replay(Path::new(path)));
+    if let Some(args) = cli.operands("--record") {
+        std::process::exit(record_mode(args));
     }
-    if args.first().is_some_and(|a| a == "--record") {
-        if args.len() < 5 {
-            diag::error(
-                "adaptive",
-                "--record needs SCENARIO CONTROLLER REPLICATE PATH",
-            );
-            std::process::exit(diag::EXIT_USAGE);
-        }
-        std::process::exit(record_mode(&args[1..]));
-    }
-    if args.first().is_some_and(|a| a == "--episode") {
+    if cli.has("--episode") {
         std::process::exit(episode_mode());
     }
-    let jobs = jobs_from_args("adaptive", &args);
 
     let results = Path::new("results");
     let failures_dir = results.join("failures");
@@ -156,109 +125,50 @@ fn main() {
                 .flat_map(move |&c| (0..REPLICATES).map(move |r| (s, c, r)))
         })
         .collect();
-    let (outcomes, cell_artifacts): (Vec<Result<CellOutcome, String>>, Vec<CellArtifacts>) =
-        if let Some(sup) = &sup {
-            // Base seed, replicate count, deadline and grid size define the
-            // cells; any change invalidates a resume journal.
-            let fingerprint = tcw_sim::snap::checksum(&[
-                BASE_SEED,
-                REPLICATES,
-                tcw_experiments::adaptive::K_TICKS,
-                cells.len() as u64,
-            ]);
-            let sup_cells = cells.clone();
-            let points = supervised_cells(
-                "adaptive",
-                "adaptive",
-                cells.len(),
-                jobs,
-                sup,
-                obs.progress,
-                fingerprint,
-                |cell| {
-                    let (s, c, r) = cells[cell];
-                    format!(
-                        "{} {} rep{r} seed {}",
-                        s.label(),
-                        c.label(),
-                        stream_seed(BASE_SEED, r)
-                    )
-                },
-                move |i| {
-                    let (s, c, r) = sup_cells[i];
-                    observe_engine_cell(Capture::OFF, i, "", &[], |obs, sink| {
-                        run_cell(s, c, r, obs, sink)
-                    })
-                    .0
-                },
-            );
-            let n = points.len();
-            (
-                points.into_iter().map(Ok).collect(),
-                (0..n).map(|_| CellArtifacts::default()).collect(),
-            )
-        } else {
-            let caps = obs.capture();
-            let progress = obs
-                .progress
-                .then(|| tcw_obs::Progress::new(cells.len(), jobs));
-            let outcomes: Vec<(Result<CellOutcome, String>, CellArtifacts)> =
-                run_parallel_with_progress(&cells, jobs, progress.as_ref(), |i, &(s, c, r)| {
-                    let label = format!("{} {} rep{r}", s.label(), c.label());
-                    let s_l = s.label();
-                    let c_l = c.label();
-                    let r_s = format!("{r}");
-                    let labels = [
-                        ("scenario", s_l),
-                        ("controller", c_l),
-                        ("replicate", r_s.as_str()),
-                    ];
-                    catch_unwind(AssertUnwindSafe(|| {
-                        observe_engine_cell(caps, i, &label, &labels, |obs, sink| {
-                            run_cell(s, c, r, obs, sink)
-                        })
-                    }))
-                    .map(|(out, art)| (Ok(out), art))
-                    .unwrap_or_else(|e| (Err(panic_message(e)), CellArtifacts::default()))
-                });
-            if let Some(p) = &progress {
-                p.finish();
-            }
-            outcomes.into_iter().unzip()
-        };
-
-    // Surface panics in deterministic cell order, writing the replay
-    // artifact for the first one.
-    let mut resolved: Vec<CellOutcome> = Vec::with_capacity(cells.len());
-    for (&(s, c, r), outcome) in cells.iter().zip(outcomes) {
-        match outcome {
-            Ok(out) => resolved.push(out),
-            Err(message) => {
-                let rec = AdaptiveRecord {
-                    scenario: s,
-                    controller: c,
-                    replicate: r,
-                    kind: "panic".to_string(),
-                    detail: message,
-                };
-                let path = failures_dir.join(format!(
-                    "adaptive_panic_{}_{}_rep{r}.json",
-                    s.label(),
-                    c.label()
-                ));
-                rec.save(&path).expect("write replay artifact");
-                diag::error(
-                    "adaptive",
-                    &format!(
-                        "cell panicked; replay artifact written to {}\n  reproduce: cargo run --release -p tcw-experiments --bin adaptive -- --replay {}",
-                        path.display(),
-                        path.display()
-                    ),
-                );
-                std::process::exit(diag::EXIT_FAILURE);
-            }
-        }
-    }
+    // Base seed, replicate count, deadline and grid size define the cells;
+    // any change invalidates a resume journal.
+    let fingerprint = tcw_sim::snap::checksum(&[
+        BASE_SEED,
+        REPLICATES,
+        tcw_experiments::adaptive::K_TICKS,
+        cells.len() as u64,
+    ]);
+    let grid = cells.clone();
+    let resolved = supervised_cells(
+        &cli,
+        cells.len(),
+        fingerprint,
+        |i| {
+            let (s, c, r) = cells[i];
+            let labels = vec![
+                ("scenario", s.label().to_string()),
+                ("controller", c.label().to_string()),
+                ("replicate", format!("{r}")),
+            ];
+            (format!("{} {} rep{r}", s.label(), c.label()), labels)
+        },
+        |i, message| {
+            let (s, c, r) = cells[i];
+            let rec = AdaptiveRecord {
+                scenario: s,
+                controller: c,
+                replicate: r,
+                kind: "panic".to_string(),
+                detail: message.to_string(),
+            };
+            let path = failures_dir.join(format!(
+                "adaptive_panic_{}_{}_rep{r}.json",
+                s.label(),
+                c.label()
+            ));
+            rec.save(&path).expect("write replay artifact");
+            Some(path)
+        },
+        move |i, obs, sink| {
+            let (s, c, r) = grid[i];
+            run_cell(s, c, r, obs, sink)
+        },
+    );
 
     // Oracle loss per (scenario, replicate) — the regret baseline.
     let oracle_loss = |scenario: Scenario, replicate: u64| -> f64 {
@@ -370,15 +280,5 @@ fn main() {
     )
     .expect("write csv");
     std::fs::write(results.join("adaptive.txt"), &report).expect("write report");
-    if let Err(e) = write_observability(
-        &obs,
-        &cell_artifacts,
-        SweepMeta {
-            cells: cell_artifacts.len(),
-        },
-    ) {
-        diag::error("adaptive", &e);
-        std::process::exit(diag::EXIT_FAILURE);
-    }
     println!("\nwrote results/adaptive.csv and results/adaptive.txt");
 }

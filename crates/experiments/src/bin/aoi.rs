@@ -22,11 +22,8 @@ use std::fmt::Write as _;
 use std::path::Path;
 use tcw_experiments::diag;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
-use tcw_experiments::runner::{simulate_aoi, AoiRun, PolicyKind, SimSettings};
-use tcw_experiments::sweep::{jobs_from_args, run_parallel_with_progress};
-use tcw_experiments::{
-    observe_engine_cell, write_observability, CellArtifacts, ObsConfig, Panel, SweepMeta,
-};
+use tcw_experiments::runner::{simulate_aoi_observed, AoiRun, PolicyKind, SimSettings};
+use tcw_experiments::{supervised_cells, Cli, Flag, Panel};
 
 const K_TAUS: [f64; 3] = [25.0, 50.0, 100.0];
 const LOADS: [f64; 3] = [0.25, 0.50, 0.75];
@@ -63,123 +60,108 @@ fn grid() -> Vec<Cell> {
     cells
 }
 
+/// Runs `cells` at `settings` on the sweep executor, each under the
+/// telemetry `cli` asks for. `label` names a cell's trace/span header and
+/// `labels` its metric labels.
+fn run_cells(
+    cli: &Cli,
+    cells: Vec<Cell>,
+    settings: SimSettings,
+    label: impl Fn(&Cell) -> (String, Vec<(&'static str, String)>),
+) -> Vec<AoiRun> {
+    // The seed, settings and every cell's coordinates define the grid; any
+    // change invalidates a resume journal.
+    let mut words = vec![SEED, M, settings.ticks_per_tau, settings.messages];
+    for c in &cells {
+        words.extend([c.k.to_bits(), c.rho_prime.to_bits(), c.kind as u64]);
+    }
+    let grid = cells.clone();
+    supervised_cells(
+        cli,
+        cells.len(),
+        tcw_sim::snap::checksum(&words),
+        |i| label(&cells[i]),
+        |_, _| None,
+        move |i, obs, sink| {
+            let c = grid[i];
+            let panel = Panel {
+                rho_prime: c.rho_prime,
+                m: M,
+            };
+            simulate_aoi_observed(panel, c.kind, c.k, settings, SEED, obs, sink)
+        },
+    )
+}
+
 /// Runs the single tiny sample cell behind `--obs-cell`: busy panel,
 /// controlled protocol, tight deadline — small enough that the full span
 /// stream is a readable, committable artifact, busy enough to exhibit
 /// collisions and a deadline discard for the EXPERIMENTS.md forensics
 /// walkthrough. Fully deterministic, so CI diff-checks the outputs.
-fn run_obs_cell(obs: &ObsConfig) -> i32 {
-    if obs.spans.is_none() || obs.metrics.is_none() {
-        diag::error(
+fn run_obs_cell(cli: &Cli) {
+    let (Some(spans), Some(metrics)) = (&cli.obs.spans, &cli.obs.metrics) else {
+        diag::usage(
             "aoi",
             "--obs-cell needs both --spans PATH and --metrics PATH",
         );
-        return diag::EXIT_USAGE;
-    }
-    let panel = Panel {
-        rho_prime: 0.75,
-        m: M,
     };
-    let kind = PolicyKind::Controlled;
-    let k = 25.0;
-    let cell_settings = SimSettings {
+    let cell = Cell {
+        k: 25.0,
+        rho_prime: 0.75,
+        kind: PolicyKind::Controlled,
+    };
+    let settings = SimSettings {
         ticks_per_tau: 8,
         messages: 12,
         warmup: 2,
         stations: 20,
         guard: false,
     };
-    let id = panel.id();
-    let label = format!("{id} {} K={k}", kind.label());
-    let labels = [
-        ("panel", id.as_str()),
-        ("policy", kind.label()),
-        ("k", "25"),
-        ("seed", "1983"),
-    ];
-    let (run, art) = observe_engine_cell(obs.capture(), 0, &label, &labels, |o, sink| {
-        tcw_experiments::runner::simulate_aoi_observed(panel, kind, k, cell_settings, SEED, o, sink)
-    });
-    if let Err(e) = write_observability(obs, &[art], SweepMeta { cells: 1 }) {
-        diag::error("aoi", &e);
-        return diag::EXIT_FAILURE;
+    let id = Panel {
+        rho_prime: 0.75,
+        m: M,
     }
+    .id();
+    let label = format!("{id} {} K={}", cell.kind.label(), cell.k);
+    let run = run_cells(cli, vec![cell], settings, |c| {
+        let labels = vec![
+            ("panel", id.clone()),
+            ("policy", c.kind.label().to_string()),
+            ("k", "25".to_string()),
+            ("seed", "1983".to_string()),
+        ];
+        (label.clone(), labels)
+    })[0];
     println!(
         "obs-cell: {label} (seed {SEED}) loss={:.6} offered={} mean_age={:.3} tau -> {} + {}",
         run.point.loss,
         run.point.offered,
         run.aoi.mean_age_tau,
-        obs.spans.as_ref().unwrap().display(),
-        obs.metrics.as_ref().unwrap().display(),
+        spans.display(),
+        metrics.display(),
     );
-    0
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = match ObsConfig::split_args(&raw) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("aoi", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
-    if args.iter().any(|a| a == "--obs-cell") {
-        std::process::exit(run_obs_cell(&obs));
+    let cli = Cli::from_env("aoi", &[Flag::switch("--obs-cell")]);
+    if cli.has("--obs-cell") {
+        return run_obs_cell(&cli);
     }
-    let jobs = jobs_from_args("aoi", &args);
     let results = Path::new("results");
     std::fs::create_dir_all(results).expect("create results dir");
 
     println!("Age-of-Information sweep (M={M}, seed {SEED})\n");
 
     let cells = grid();
-    let caps = obs.capture();
-    let progress = obs
-        .progress
-        .then(|| tcw_obs::Progress::new(cells.len(), jobs));
-    let outcomes: Vec<(AoiRun, CellArtifacts)> =
-        run_parallel_with_progress(&cells, jobs, progress.as_ref(), |i, c| {
-            let label = format!("rho'={:.2} {} K={}", c.rho_prime, c.kind.label(), c.k);
-            let k_s = format!("{}", c.k);
-            let rho_s = format!("{}", c.rho_prime);
-            let labels = [
-                ("rho", rho_s.as_str()),
-                ("policy", c.kind.label()),
-                ("k", k_s.as_str()),
-            ];
-            let panel = Panel {
-                rho_prime: c.rho_prime,
-                m: M,
-            };
-            let (run, art) = if caps.any() {
-                observe_engine_cell(caps, i, &label, &labels, |o, sink| {
-                    tcw_experiments::runner::simulate_aoi_observed(
-                        panel,
-                        c.kind,
-                        c.k,
-                        settings(),
-                        SEED,
-                        o,
-                        sink,
-                    )
-                })
-            } else {
-                (
-                    simulate_aoi(panel, c.kind, c.k, settings(), SEED),
-                    CellArtifacts::default(),
-                )
-            };
-            if let Some(p) = &progress {
-                let h = run.horizon;
-                p.note_horizon(h.jumps, h.slots_skipped, h.batched_runs, h.batched_slots);
-            }
-            (run, art)
-        });
-    if let Some(p) = &progress {
-        p.finish();
-    }
-    let (runs, cell_artifacts): (Vec<AoiRun>, Vec<CellArtifacts>) = outcomes.into_iter().unzip();
+    let runs = run_cells(&cli, cells.clone(), settings(), |c| {
+        let labels = vec![
+            ("rho", format!("{}", c.rho_prime)),
+            ("policy", c.kind.label().to_string()),
+            ("k", format!("{}", c.k)),
+        ];
+        let label = format!("rho'={:.2} {} K={}", c.rho_prime, c.kind.label(), c.k);
+        (label, labels)
+    });
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut report = String::from(
@@ -269,15 +251,5 @@ fn main() {
     )
     .expect("write csv");
     std::fs::write(results.join("aoi.txt"), &report).expect("write report");
-    if let Err(e) = write_observability(
-        &obs,
-        &cell_artifacts,
-        SweepMeta {
-            cells: cell_artifacts.len(),
-        },
-    ) {
-        diag::error("aoi", &e);
-        std::process::exit(diag::EXIT_FAILURE);
-    }
     println!("\nwrote results/aoi.csv and results/aoi.txt");
 }

@@ -14,10 +14,11 @@
 //! chaos --inject MUTATION [PATH]  # seed a violation, shrink it, verify replay
 //! ```
 //!
-//! Crash-safe supervision (`--resume PATH`, `--cell-timeout SECS`,
-//! `--retries N`) journals completed cells and quarantines hopeless ones
-//! instead of aborting the sweep; `--inject-panic CELL` /
-//! `--inject-slow CELL` exist to exercise exactly that machinery from CI.
+//! The sweep runs under the crash-safe supervisor (`--resume PATH`,
+//! `--cell-timeout SECS`, `--retries N`), which journals completed cells
+//! and quarantines hopeless ones instead of aborting the sweep;
+//! `--inject-panic CELL` / `--inject-slow CELL` exist to exercise exactly
+//! that machinery from CI.
 //!
 //! `MUTATION` is one of `drop_delivery`, `reorder_pair`, `stale_clock`.
 //! Exit codes follow the shared convention: `0` clean, `1` usage,
@@ -31,11 +32,7 @@ use tcw_experiments::chaos::{
 };
 use tcw_experiments::diag;
 use tcw_experiments::plot::write_csv;
-use tcw_experiments::supervise::{supervised_cells, SupervisorOptions};
-use tcw_experiments::sweep::{jobs_from_args, run_parallel_with_progress};
-use tcw_experiments::{
-    observe_engine_cell, write_observability, CellArtifacts, ObsConfig, SweepMeta,
-};
+use tcw_experiments::{supervised_cells, Cli, Flag};
 
 fn shrink_report(orig: &ChaosConfig, out: &ChaosOutcome) -> (ChaosRecord, String) {
     let mut log = String::new();
@@ -142,123 +139,26 @@ fn inject_mode(args: &[String]) -> i32 {
     0
 }
 
-/// Parses `NAME CELL` out of `args`, removing both tokens.
-fn take_cell_flag(args: &mut Vec<String>, name: &str) -> Option<usize> {
-    let i = args.iter().position(|a| a == name)?;
-    let Some(v) = args.get(i + 1) else {
-        diag::error("chaos", &format!("{name} needs a cell index"));
-        std::process::exit(diag::EXIT_USAGE);
-    };
-    let cell = v.parse::<usize>().unwrap_or_else(|_| {
-        diag::error("chaos", &format!("bad {name} value {v:?}"));
-        std::process::exit(diag::EXIT_USAGE);
-    });
-    args.drain(i..=i + 1);
-    Some(cell)
-}
-
-/// Runs the sweep under the crash-safe supervisor: journaled cells are
-/// skipped, failures retried then quarantined. Exits with
-/// [`diag::EXIT_FAILURE`] (outputs unwritten, journal intact) when any
-/// cell is quarantined, so a later `--resume` run can finish the sweep
-/// byte-identically.
-fn supervised_outcomes(
-    configs: usize,
-    jobs: usize,
-    sup: &SupervisorOptions,
-    show_progress: bool,
-    inject_panic: Option<usize>,
-    inject_slow: Option<usize>,
-) -> Vec<(ChaosConfig, ChaosOutcome, CellArtifacts)> {
-    // The fingerprint covers everything that defines the cell grid; the
-    // inject flags are deliberately excluded so a clean resume can reuse
-    // the journal of an injected (crashed) run.
-    let fingerprint = tcw_sim::snap::checksum(&[BASE_SEED, configs as u64]);
-    supervised_cells(
-        "chaos",
-        "chaos",
-        configs,
-        jobs,
-        sup,
-        show_progress,
-        fingerprint,
-        |cell| format!("seed {}", ChaosConfig::sample(BASE_SEED, cell as u64).seed),
-        move |i| {
-            if inject_panic == Some(i) {
-                panic!("injected panic in cell {i}");
-            }
-            if inject_slow == Some(i) {
-                std::thread::sleep(std::time::Duration::from_secs(3600));
-            }
-            execute(&ChaosConfig::sample(BASE_SEED, i as u64))
-        },
-    )
-    .into_iter()
-    .enumerate()
-    .map(|(i, out)| {
-        (
-            ChaosConfig::sample(BASE_SEED, i as u64),
-            out,
-            CellArtifacts::default(),
-        )
-    })
-    .collect()
-}
-
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = match ObsConfig::split_args(&raw) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("chaos", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
-    let (sup, mut args) = match SupervisorOptions::split_args(&args) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("chaos", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
-    if sup.is_some() && obs.wants_telemetry() {
-        diag::error(
-            "chaos",
-            "supervision flags are incompatible with --trace-events/--spans/--metrics",
-        );
-        std::process::exit(diag::EXIT_USAGE);
+    let cli = Cli::from_env(
+        "chaos",
+        &[
+            Flag::value("--configs"),
+            Flag::value("--inject-panic"),
+            Flag::value("--inject-slow"),
+            Flag::operands("--inject", 1, 2).alone(),
+            Flag::value("--replay").alone(),
+        ],
+    );
+    if let Some(path) = cli.operands("--replay") {
+        std::process::exit(replay(Path::new(&path[0])));
     }
-    let inject_panic = take_cell_flag(&mut args, "--inject-panic");
-    let inject_slow = take_cell_flag(&mut args, "--inject-slow");
-    if (inject_panic.is_some() || inject_slow.is_some()) && sup.is_none() {
-        diag::error(
-            "chaos",
-            "--inject-panic/--inject-slow need a supervision flag (--resume/--cell-timeout/--retries)",
-        );
-        std::process::exit(diag::EXIT_USAGE);
+    if let Some(args) = cli.operands("--inject") {
+        std::process::exit(inject_mode(args));
     }
-    if args.first().is_some_and(|a| a == "--replay") {
-        let Some(path) = args.get(1) else {
-            diag::error("chaos", "--replay needs an artifact path");
-            std::process::exit(diag::EXIT_USAGE);
-        };
-        std::process::exit(replay(Path::new(path)));
-    }
-    if args.first().is_some_and(|a| a == "--inject") {
-        std::process::exit(inject_mode(&args[1..]));
-    }
-    let jobs = jobs_from_args("chaos", &args);
-    let configs = args
-        .iter()
-        .position(|a| a == "--configs")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| {
-            v.parse::<usize>().unwrap_or_else(|_| {
-                diag::error("chaos", &format!("bad --configs value {v:?}"));
-                std::process::exit(diag::EXIT_USAGE);
-            })
-        })
-        .unwrap_or(DEFAULT_CONFIGS);
+    let inject_panic: Option<usize> = cli.value("--inject-panic");
+    let inject_slow: Option<usize> = cli.value("--inject-slow");
+    let configs = cli.value("--configs").unwrap_or(DEFAULT_CONFIGS);
 
     let results = Path::new("results");
     let failures_dir = results.join("failures");
@@ -267,45 +167,41 @@ fn main() {
          invariant monitor on, base seed {BASE_SEED:#x}\n"
     );
 
-    let outcomes: Vec<(ChaosConfig, ChaosOutcome, CellArtifacts)> = if let Some(sup) = &sup {
-        supervised_outcomes(configs, jobs, sup, obs.progress, inject_panic, inject_slow)
-    } else {
-        let cells: Vec<u64> = (0..configs as u64).collect();
-        let caps = obs.capture();
-        let progress = obs
-            .progress
-            .then(|| tcw_obs::Progress::new(cells.len(), jobs));
-        let outcomes = run_parallel_with_progress(&cells, jobs, progress.as_ref(), |i, &index| {
-            let cfg = ChaosConfig::sample(BASE_SEED, index);
-            let label = format!("config {index} ({})", cfg.controller.label());
-            let idx_s = format!("{index}");
-            let labels = [
-                ("config", idx_s.as_str()),
-                ("controller", cfg.controller.label()),
+    // The fingerprint covers everything that defines the cell grid; the
+    // inject flags are deliberately excluded so a clean resume can reuse
+    // the journal of an injected (crashed) run.
+    let sampled = |i: usize| ChaosConfig::sample(BASE_SEED, i as u64);
+    let outcomes = supervised_cells(
+        &cli,
+        configs,
+        tcw_sim::snap::checksum(&[BASE_SEED, configs as u64]),
+        |i| {
+            let controller = sampled(i).controller.label();
+            let labels = vec![
+                ("config", format!("{i}")),
+                ("controller", controller.into()),
             ];
-            if caps.any() {
-                let (out, art) = observe_engine_cell(caps, i, &label, &labels, {
-                    let cfg = cfg.clone();
-                    move |obs, sink| run_observed(&cfg, obs, sink)
-                });
-                (cfg, out, art)
-            } else {
-                let out = execute(&cfg);
-                (cfg, out, CellArtifacts::default())
+            (format!("config {i} ({controller})"), labels)
+        },
+        |_, _| None,
+        move |i, obs, sink| {
+            if inject_panic == Some(i) {
+                panic!("injected panic in cell {i}");
             }
-        });
-        if let Some(p) = &progress {
-            p.finish();
-        }
-        outcomes
-    };
+            if inject_slow == Some(i) {
+                std::thread::sleep(std::time::Duration::from_secs(3600));
+            }
+            run_observed(&sampled(i), obs, sink)
+        },
+    );
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut report = String::new();
     let mut failures: Vec<(u64, ChaosConfig, ChaosOutcome)> = Vec::new();
     let mut kind_counts = [0u64; 4];
-    for (i, (cfg, out, _art)) in outcomes.iter().enumerate() {
+    for (i, out) in outcomes.iter().enumerate() {
         let index = i as u64;
+        let cfg = sampled(i);
         let kind_idx = match out.kind.as_str() {
             "ok" => 0,
             "violation" => 1,
@@ -333,7 +229,7 @@ fn main() {
             format!("{}", out.loss),
         ]);
         if out.kind != "ok" {
-            failures.push((index, cfg.clone(), out.clone()));
+            failures.push((index, cfg, out.clone()));
         }
     }
 
@@ -343,8 +239,8 @@ fn main() {
     );
     println!("{summary}");
     report.push_str(&summary);
-    let total_checks: u64 = outcomes.iter().map(|(_, o, _)| o.checks).sum();
-    let total_deliveries: u64 = outcomes.iter().map(|(_, o, _)| o.deliveries).sum();
+    let total_checks: u64 = outcomes.iter().map(|o| o.checks).sum();
+    let total_deliveries: u64 = outcomes.iter().map(|o| o.deliveries).sum();
     let detail = format!(
         "monitor checks={total_checks} deliveries={total_deliveries} (base seed {BASE_SEED:#x})\n"
     );
@@ -393,17 +289,6 @@ fn main() {
     )
     .expect("write csv");
     std::fs::write(results.join("chaos.txt"), &report).expect("write report");
-    let cell_artifacts: Vec<CellArtifacts> = outcomes.into_iter().map(|(_, _, art)| art).collect();
-    if let Err(e) = write_observability(
-        &obs,
-        &cell_artifacts,
-        SweepMeta {
-            cells: cell_artifacts.len(),
-        },
-    ) {
-        diag::error("chaos", &e);
-        std::process::exit(diag::EXIT_FAILURE);
-    }
     println!("wrote results/chaos.csv and results/chaos.txt");
     if !failures.is_empty() {
         diag::error(

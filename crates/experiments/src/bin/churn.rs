@@ -7,10 +7,10 @@
 //! listener outage tracked by the per-station divergence detector.
 //! Results land in `results/churn.csv` and `results/churn.txt`.
 //!
-//! Every run executes under a panic guard: a panic, a tripped
-//! invariant, or a detected divergence writes a replay artifact under
-//! `results/failures/` containing the seed, the fault plan and the
-//! churn plan. Re-running with
+//! Every run executes under the sweep supervisor: a cell that keeps
+//! panicking, a tripped invariant, or a detected divergence writes a
+//! replay artifact under `results/failures/` containing the seed, the
+//! fault plan and the churn plan. Re-running with
 //!
 //! ```text
 //! cargo run --release -p tcw-experiments --bin churn -- --replay <artifact>
@@ -19,17 +19,11 @@
 //! re-executes the identical timeline and must reproduce the identical
 //! failure (the binary exits non-zero if it does not).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use tcw_experiments::diag;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
-use tcw_experiments::replay::{execute, panic_message, replay, FailureRecord};
-use tcw_experiments::runner::{ChurnSimPoint, PolicyKind, SimSettings};
-use tcw_experiments::supervise::{supervised_cells, SupervisorOptions};
-use tcw_experiments::sweep::{only_jobs_from_args, run_parallel_with_progress};
-use tcw_experiments::{
-    observed_cell, write_observability, CellArtifacts, ObsConfig, Panel, SweepMeta,
-};
+use tcw_experiments::replay::{execute, replay, FailureRecord};
+use tcw_experiments::runner::{simulate_churn_observed, PolicyKind, SimSettings};
+use tcw_experiments::{supervised_cells, Cli, Flag, Panel};
 use tcw_mac::{ChurnPlan, FaultPlan};
 
 const CRASH_RATES: [f64; 5] = [0.0, 0.0005, 0.001, 0.002, 0.005];
@@ -77,43 +71,10 @@ fn base_record(rho_prime: f64, churn: ChurnPlan) -> FailureRecord {
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = match ObsConfig::split_args(&raw) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("churn", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
-    let (sup, args) = match SupervisorOptions::split_args(&args) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("churn", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
-    if sup.is_some() && obs.wants_telemetry() {
-        diag::error(
-            "churn",
-            "supervision flags are incompatible with --trace-events/--spans/--metrics",
-        );
-        std::process::exit(diag::EXIT_USAGE);
+    let cli = Cli::from_env("churn", &[Flag::value("--replay").alone()]);
+    if let Some(path) = cli.operands("--replay") {
+        std::process::exit(replay(Path::new(&path[0])));
     }
-    if args.first().is_some_and(|a| a == "--replay") {
-        let Some(path) = args.get(1) else {
-            diag::error("churn", "--replay needs an artifact path");
-            std::process::exit(diag::EXIT_USAGE);
-        };
-        if let Some(extra) = args.get(2) {
-            diag::error(
-                "churn",
-                &format!("unknown argument {extra:?} after --replay PATH"),
-            );
-            std::process::exit(diag::EXIT_USAGE);
-        }
-        std::process::exit(replay(Path::new(path)));
-    }
-    let jobs = only_jobs_from_args("churn", &args);
 
     let results = Path::new("results");
     let failures_dir = results.join("failures");
@@ -124,135 +85,69 @@ fn main() {
 
     println!("station-churn sweep: controlled protocol, M={M}, K={K_TAU} tau, down={DOWN_SLOTS} slots, catch-up={CATCH_UP_SLOTS} slots\n");
 
-    // One parallel sweep over the whole load × crash-rate grid; panics
-    // are caught per cell so failure reporting (and the replay artifact)
-    // still happens in deterministic cell order below.
-    let cells: Vec<(f64, f64)> = LOADS
-        .iter()
-        .flat_map(|&rho| CRASH_RATES.iter().map(move |&c| (rho, c)))
-        .collect();
-    let (outcomes, cell_artifacts): (Vec<Result<ChurnSimPoint, String>>, Vec<CellArtifacts>) =
-        if let Some(sup) = &sup {
-            // The seed, panel shape and grid size define the cells; any
-            // change to them invalidates a resume journal.
-            let fingerprint = tcw_sim::snap::checksum(&[
-                SEED,
-                M,
-                K_TAU.to_bits(),
-                DOWN_SLOTS,
-                CATCH_UP_SLOTS,
-                cells.len() as u64,
-            ]);
-            let points = supervised_cells(
-                "churn",
-                "churn",
-                cells.len(),
-                jobs,
-                sup,
-                obs.progress,
-                fingerprint,
-                |cell| {
-                    let rho = LOADS[cell / CRASH_RATES.len()];
-                    let c = CRASH_RATES[cell % CRASH_RATES.len()];
-                    format!("rho'={rho:.2} crash={c:.4} seed {SEED}")
-                },
-                |i| {
-                    let rho = LOADS[i / CRASH_RATES.len()];
-                    let c = CRASH_RATES[i % CRASH_RATES.len()];
-                    let rec = base_record(rho, sweep_plan(c));
-                    tcw_experiments::runner::simulate_churn(
-                        rec.panel,
-                        rec.policy,
-                        rec.k_tau,
-                        rec.settings,
-                        rec.seed,
-                        rec.plan,
-                        rec.churn,
-                    )
-                },
-            );
-            let n = points.len();
-            (
-                points.into_iter().map(Ok).collect(),
-                (0..n).map(|_| CellArtifacts::default()).collect(),
+    // One supervised sweep over the whole load × crash-rate grid. The
+    // seed, panel shape and grid size define the cells; any change to them
+    // invalidates a resume journal.
+    let cell = |i: usize| {
+        let (rho, c) = (
+            LOADS[i / CRASH_RATES.len()],
+            CRASH_RATES[i % CRASH_RATES.len()],
+        );
+        (rho, c, base_record(rho, sweep_plan(c)))
+    };
+    let n = LOADS.len() * CRASH_RATES.len();
+    let fingerprint = tcw_sim::snap::checksum(&[
+        SEED,
+        M,
+        K_TAU.to_bits(),
+        DOWN_SLOTS,
+        CATCH_UP_SLOTS,
+        n as u64,
+    ]);
+    let outcomes = supervised_cells(
+        &cli,
+        n,
+        fingerprint,
+        |i| {
+            let (rho, c, _) = cell(i);
+            let labels = vec![("rho", format!("{rho}")), ("crash_rate", format!("{c}"))];
+            (format!("rho={rho:.2} crash={c:.4}"), labels)
+        },
+        |i, message| {
+            let (rho, c, mut failed) = cell(i);
+            failed.kind = "panic".to_string();
+            failed.detail = message.to_string();
+            let path = failures_dir.join(format!(
+                "failure_panic_seed{}_rho{:02}_c{:04}.json",
+                failed.seed,
+                (rho * 100.0) as u32,
+                (c * 10_000.0).round() as u32
+            ));
+            failed.save(&path).expect("write replay artifact");
+            Some(path)
+        },
+        move |i, obs, sink| {
+            let (_, _, rec) = cell(i);
+            simulate_churn_observed(
+                rec.panel,
+                rec.policy,
+                rec.k_tau,
+                rec.settings,
+                rec.seed,
+                rec.plan,
+                rec.churn,
+                obs,
+                sink,
             )
-        } else {
-            let caps = obs.capture();
-            let progress = obs
-                .progress
-                .then(|| tcw_obs::Progress::new(cells.len(), jobs));
-            let outcomes: Vec<(Result<ChurnSimPoint, String>, CellArtifacts)> =
-                run_parallel_with_progress(&cells, jobs, progress.as_ref(), |i, &(rho, c)| {
-                    let rec = base_record(rho, sweep_plan(c));
-                    let label = format!("rho={rho:.2} crash={c:.4}");
-                    let rho_s = format!("{rho}");
-                    let c_s = format!("{c}");
-                    let labels = [("rho", rho_s.as_str()), ("crash_rate", c_s.as_str())];
-                    catch_unwind(AssertUnwindSafe(|| {
-                        observed_cell(
-                            caps,
-                            i,
-                            &label,
-                            &labels,
-                            rec.panel,
-                            rec.policy,
-                            rec.k_tau,
-                            rec.settings,
-                            rec.seed,
-                            rec.plan,
-                            rec.churn,
-                        )
-                    }))
-                    .map(|(csp, art)| {
-                        if let Some(p) = &progress {
-                            let h = csp.horizon;
-                            p.note_horizon(
-                                h.jumps,
-                                h.slots_skipped,
-                                h.batched_runs,
-                                h.batched_slots,
-                            );
-                        }
-                        (Ok(csp), art)
-                    })
-                    .unwrap_or_else(|e| (Err(panic_message(e)), CellArtifacts::default()))
-                });
-            if let Some(p) = &progress {
-                p.finish();
-            }
-            outcomes.into_iter().unzip()
-        };
+        },
+    );
 
     let mut outcome_iter = outcomes.into_iter();
     for (li, &rho) in LOADS.iter().enumerate() {
         let mut points = Vec::new();
         let mut baseline_loss = 0.0;
         for &c in &CRASH_RATES {
-            let rec = base_record(rho, sweep_plan(c));
-            let csp: ChurnSimPoint = match outcome_iter.next().expect("one outcome per cell") {
-                Ok(csp) => csp,
-                Err(message) => {
-                    let mut failed = rec.clone();
-                    failed.kind = "panic".to_string();
-                    failed.detail = message;
-                    let path = failures_dir.join(format!(
-                        "failure_panic_seed{}_rho{:02}_c{:04}.json",
-                        rec.seed,
-                        (rho * 100.0) as u32,
-                        (c * 10_000.0).round() as u32
-                    ));
-                    failed.save(&path).expect("write replay artifact");
-                    diag::error(
-                        "churn",
-                        &format!(
-                            "run panicked; replay artifact written to {}\n  reproduce: cargo run --release -p tcw-experiments --bin churn -- --replay {}",
-                            path.display(),
-                            path.display()
-                        ),
-                    );
-                    std::process::exit(diag::EXIT_FAILURE);
-                }
-            };
+            let csp = outcome_iter.next().expect("one outcome per cell");
             if c == 0.0 {
                 baseline_loss = csp.point.loss;
             }
@@ -381,15 +276,5 @@ fn main() {
     )
     .expect("write csv");
     std::fs::write(results.join("churn.txt"), &report).expect("write report");
-    if let Err(e) = write_observability(
-        &obs,
-        &cell_artifacts,
-        SweepMeta {
-            cells: cell_artifacts.len(),
-        },
-    ) {
-        diag::error("churn", &e);
-        std::process::exit(diag::EXIT_FAILURE);
-    }
     println!("\nwrote results/churn.csv and results/churn.txt");
 }

@@ -13,23 +13,22 @@
 //! panel and a summary of the shape checks. Run with `--quick` for a
 //! fast smoke pass (fewer messages), `--jobs N` to set the sweep worker
 //! count (`--jobs 1` reproduces the serial output byte-for-byte), or
-//! pass a panel id (e.g. `rho50_m25`) to regenerate a single panel.
+//! pass panel ids (e.g. `rho50_m25`) to regenerate only those panels;
+//! any other argument is a usage error.
 //!
 //! Observability (see EXPERIMENTS.md): `--trace-events PATH` streams
 //! every protocol event as NDJSON, `--metrics PATH[.prom]` snapshots the
 //! per-cell metrics registries, `--progress` renders a live stderr
 //! progress line. `--obs-cell` runs a single tiny sample cell (panel
-//! `rho50_m25`, controlled, `K = 100`) and writes its trace/metrics to
+//! `rho75_m25`, controlled, `K = 100`) and writes its trace/metrics to
 //! the given paths — the committed `results/obs/` samples come from it.
 
 use std::path::{Path, PathBuf};
 use tcw_experiments::diag;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
-use tcw_experiments::supervise::{supervised_cells, SupervisorOptions};
-use tcw_experiments::sweep::run_parallel_with_progress;
+use tcw_experiments::runner::simulate_churn_observed;
 use tcw_experiments::{
-    observed_cell, write_observability, CellArtifacts, ObsConfig, Panel, PolicyKind, SimPoint,
-    SimSettings, SweepMeta, PANELS,
+    supervised_cells, Cli, Flag, Panel, PolicyKind, SimPoint, SimSettings, PANELS,
 };
 use tcw_mac::{ChurnPlan, FaultPlan};
 use tcw_queueing::marching::{controlled_curve, fcfs_curve, lcfs_curve, CurvePoint, PanelConfig};
@@ -61,26 +60,71 @@ const KINDS: [(PolicyKind, u64); 3] = [
     (PolicyKind::Lcfs, 0x03),
 ];
 
+/// Runs `jobs` on the sweep executor, each cell under the telemetry `cli`
+/// asks for (labeled by panel, policy, K and seed), and returns the
+/// measured points in grid order. The settings plus every job's full
+/// specification define the grid; any change invalidates a resume
+/// journal. The per-job seed already mixes in the policy salt, so the
+/// policy is covered.
+fn run_jobs(cli: &Cli, jobs: Vec<Job>, settings: SimSettings) -> Vec<SimPoint> {
+    let mut words = vec![
+        settings.ticks_per_tau,
+        settings.messages,
+        settings.warmup,
+        u64::from(settings.stations),
+        u64::from(settings.guard),
+    ];
+    for j in &jobs {
+        words.extend([
+            j.panel.rho_prime.to_bits(),
+            j.panel.m,
+            j.k.to_bits(),
+            j.seed,
+        ]);
+    }
+    let grid = jobs.clone();
+    supervised_cells(
+        cli,
+        jobs.len(),
+        tcw_sim::snap::checksum(&words),
+        |i| {
+            let j = &jobs[i];
+            let id = j.panel.id();
+            let label = format!("{id} {} K={}", j.kind.label(), j.k);
+            let labels = vec![
+                ("panel", id),
+                ("policy", j.kind.label().to_string()),
+                ("k", format!("{}", j.k)),
+                ("seed", format!("{}", j.seed)),
+            ];
+            (label, labels)
+        },
+        |_, _| None,
+        move |i, obs, sink| {
+            let j = grid[i];
+            let (plan, churn) = (FaultPlan::none(), ChurnPlan::none());
+            simulate_churn_observed(
+                j.panel, j.kind, j.k, settings, j.seed, plan, churn, obs, sink,
+            )
+        },
+    )
+    .into_iter()
+    .map(|p| p.point)
+    .collect()
+}
+
 /// Runs every selected panel: first all simulated points of all panels
 /// through one parallel sweep, then, panel by panel on the calling
 /// thread, the three analytic curves (K-marching, one FCFS waiting-time
 /// CDF, the Panjer-evaluated LCFS delay busy period; together well under
 /// a second for all six panels in a release build) next to the panel's
-/// three point series reassembled in grid order. Telemetry, when
-/// requested, is captured per cell and returned in cell order.
-fn run_panels(
-    panels: &[Panel],
-    settings: SimSettings,
-    seed: u64,
-    jobs: usize,
-    obs: &ObsConfig,
-    sup: Option<&SupervisorOptions>,
-) -> (Vec<PanelResult>, Vec<CellArtifacts>) {
-    let mut cells = Vec::new();
+/// three point series reassembled in grid order.
+fn run_panels(cli: &Cli, panels: &[Panel], settings: SimSettings, seed: u64) -> Vec<PanelResult> {
+    let mut jobs = Vec::new();
     for &panel in panels {
         for (kind, salt) in KINDS {
             for &k in &panel.k_grid_sim() {
-                cells.push(Job {
+                jobs.push(Job {
                     panel,
                     kind,
                     k,
@@ -89,104 +133,8 @@ fn run_panels(
             }
         }
     }
-    let (points, artifacts): (Vec<SimPoint>, Vec<CellArtifacts>) = if let Some(sup) = sup {
-        // The settings plus every job's full specification define the
-        // grid; any change invalidates a resume journal. The per-job seed
-        // already mixes in the policy salt, so the policy is covered.
-        let mut words = vec![
-            settings.ticks_per_tau,
-            settings.messages,
-            settings.warmup,
-            u64::from(settings.stations),
-            u64::from(settings.guard),
-        ];
-        for j in &cells {
-            words.extend([
-                j.panel.rho_prime.to_bits(),
-                j.panel.m,
-                j.k.to_bits(),
-                j.seed,
-            ]);
-        }
-        let fingerprint = tcw_sim::snap::checksum(&words);
-        let sup_jobs = cells.clone();
-        let points = supervised_cells(
-            "fig7",
-            "fig7",
-            cells.len(),
-            jobs,
-            sup,
-            obs.progress,
-            fingerprint,
-            |cell| {
-                let j = &cells[cell];
-                format!(
-                    "{} {} K={} seed {}",
-                    j.panel.id(),
-                    j.kind.label(),
-                    j.k,
-                    j.seed
-                )
-            },
-            move |i| {
-                let j = sup_jobs[i];
-                tcw_experiments::runner::simulate_churn(
-                    j.panel,
-                    j.kind,
-                    j.k,
-                    settings,
-                    j.seed,
-                    FaultPlan::none(),
-                    ChurnPlan::none(),
-                )
-                .point
-            },
-        );
-        let n = points.len();
-        (points, (0..n).map(|_| CellArtifacts::default()).collect())
-    } else {
-        let caps = obs.capture();
-        let progress = obs
-            .progress
-            .then(|| tcw_obs::Progress::new(cells.len(), jobs));
-        let outcomes = run_parallel_with_progress(&cells, jobs, progress.as_ref(), |i, j| {
-            let id = j.panel.id();
-            let label = format!("{id} {} K={}", j.kind.label(), j.k);
-            let k = format!("{}", j.k);
-            let seed_str = format!("{}", j.seed);
-            let labels = [
-                ("panel", id.as_str()),
-                ("policy", j.kind.label()),
-                ("k", k.as_str()),
-                ("seed", seed_str.as_str()),
-            ];
-            let (p, art) = observed_cell(
-                caps,
-                i,
-                &label,
-                &labels,
-                j.panel,
-                j.kind,
-                j.k,
-                settings,
-                j.seed,
-                FaultPlan::none(),
-                ChurnPlan::none(),
-            );
-            if let Some(pr) = &progress {
-                let h = p.horizon;
-                pr.note_horizon(h.jumps, h.slots_skipped, h.batched_runs, h.batched_slots);
-            }
-            (p.point, art)
-        });
-        if let Some(p) = &progress {
-            p.finish();
-        }
-        outcomes.into_iter().unzip()
-    };
-
+    let mut cursor = run_jobs(cli, jobs, settings).into_iter();
     let mut results = Vec::new();
-    let mut cursor = points.into_iter();
     for &panel in panels {
         let cfg = PanelConfig {
             m: panel.m,
@@ -206,7 +154,7 @@ fn run_panels(
             sim_lcfs: take(n_sim),
         });
     }
-    (results, artifacts)
+    results
 }
 
 fn emit(result: &PanelResult, out_dir: &Path) {
@@ -366,22 +314,26 @@ fn emit(result: &PanelResult, out_dir: &Path) {
 }
 
 /// Runs the single tiny sample cell behind `--obs-cell`: panel
-/// `rho50_m25`, controlled protocol, `K = 100`, scaled down far enough
+/// `rho75_m25`, controlled protocol, `K = 100`, scaled down far enough
 /// that its full event stream is a readable, committable artifact. The
 /// cell is fully deterministic (fixed seed, no wall-clock values), so the
 /// outputs can be diff-checked in CI.
-fn run_obs_cell(obs: &ObsConfig) -> i32 {
-    if obs.trace_events.is_none() || obs.metrics.is_none() {
-        diag::error(
+fn run_obs_cell(cli: &Cli) {
+    let obs = &cli.obs;
+    let (Some(trace), Some(metrics)) = (&obs.trace_events, &obs.metrics) else {
+        diag::usage(
             "fig7",
             "--obs-cell needs both --trace-events PATH and --metrics PATH",
         );
-        return diag::EXIT_USAGE;
-    }
-    let panel = PANELS[4]; // rho' = 0.75, M = 25: busy enough to collide
+    };
     let (kind, salt) = KINDS[0]; // controlled
     let k = 100.0;
-    let seed = 42 ^ salt ^ (k as u64);
+    let job = Job {
+        panel: PANELS[4], // rho' = 0.75, M = 25: busy enough to collide
+        kind,
+        k,
+        seed: 42 ^ salt ^ (k as u64),
+    };
     let settings = SimSettings {
         ticks_per_tau: 8,
         messages: 12,
@@ -389,75 +341,27 @@ fn run_obs_cell(obs: &ObsConfig) -> i32 {
         stations: 20,
         guard: false,
     };
-    let id = panel.id();
-    let label = format!("{id} {} K={k}", kind.label());
-    let seed_str = format!("{seed}");
-    let labels = [
-        ("panel", id.as_str()),
-        ("policy", kind.label()),
-        ("k", "100"),
-        ("seed", seed_str.as_str()),
-    ];
-    let (p, art) = observed_cell(
-        obs.capture(),
-        0,
-        &label,
-        &labels,
-        panel,
-        kind,
-        k,
-        settings,
-        seed,
-        FaultPlan::none(),
-        ChurnPlan::none(),
-    );
-    if let Err(e) = write_observability(obs, &[art], SweepMeta { cells: 1 }) {
-        diag::error("fig7", &e);
-        return diag::EXIT_FAILURE;
-    }
+    let p = run_jobs(cli, vec![job], settings)[0];
     println!(
-        "obs-cell: {label} (seed {seed}) loss={:.6} offered={} -> {} + {}",
-        p.point.loss,
-        p.point.offered,
-        obs.trace_events.as_ref().unwrap().display(),
-        obs.metrics.as_ref().unwrap().display(),
+        "obs-cell: {} {} K={k} (seed {}) loss={:.6} offered={} -> {} + {}",
+        job.panel.id(),
+        kind.label(),
+        job.seed,
+        p.loss,
+        p.offered,
+        trace.display(),
+        metrics.display(),
     );
-    0
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = match ObsConfig::split_args(&raw) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("fig7", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
-    let (sup, args) = match SupervisorOptions::split_args(&args) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("fig7", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
-    if sup.is_some() && obs.wants_telemetry() {
-        diag::error(
-            "fig7",
-            "supervision flags are incompatible with --trace-events/--spans/--metrics",
-        );
-        std::process::exit(diag::EXIT_USAGE);
+    let mut flags = vec![Flag::switch("--quick"), Flag::switch("--obs-cell")];
+    flags.extend(PANELS.iter().map(|p| Flag::switch(p.id())));
+    let cli = Cli::from_env("fig7", &flags);
+    if cli.has("--obs-cell") {
+        return run_obs_cell(&cli);
     }
-    if args.iter().any(|a| a == "--obs-cell") {
-        std::process::exit(run_obs_cell(&obs));
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    let jobs = tcw_experiments::jobs_from_args("fig7", &args);
-    let panel_filter: Vec<&String> = args
-        .iter()
-        .filter(|a| !a.starts_with("--") && a.parse::<u64>().is_err())
-        .collect();
-    let settings = if quick {
+    let settings = if cli.has("--quick") {
         SimSettings {
             messages: 5_000,
             warmup: 500,
@@ -472,22 +376,12 @@ fn main() {
         "Reproducing Figure 7 ({} messages per simulated point; seed base 42)\n",
         settings.messages
     );
+    let any_panel = PANELS.iter().any(|p| cli.has(&p.id()));
     let panels: Vec<Panel> = PANELS
         .into_iter()
-        .filter(|panel| panel_filter.is_empty() || panel_filter.iter().any(|f| **f == panel.id()))
+        .filter(|panel| !any_panel || cli.has(&panel.id()))
         .collect();
-    let (results, artifacts) = run_panels(&panels, settings, 42, jobs, &obs, sup.as_ref());
-    for result in &results {
+    for result in &run_panels(&cli, &panels, settings, 42) {
         emit(result, &out_dir);
-    }
-    if let Err(e) = write_observability(
-        &obs,
-        &artifacts,
-        SweepMeta {
-            cells: artifacts.len(),
-        },
-    ) {
-        diag::error("fig7", &e);
-        std::process::exit(diag::EXIT_FAILURE);
     }
 }

@@ -20,8 +20,9 @@
 use std::fmt::Write as _;
 use std::path::Path;
 use tcw_experiments::plot::write_csv;
-use tcw_experiments::runner::{simulate_with_horizon, PolicyKind, SimSettings};
+use tcw_experiments::runner::{simulate_churn, PolicyKind, SimSettings};
 use tcw_experiments::Panel;
+use tcw_mac::{ChurnPlan, FaultPlan};
 
 const LOADS: [f64; 3] = [0.02, 0.05, 0.10];
 const KINDS: [PolicyKind; 3] = [PolicyKind::Controlled, PolicyKind::Fcfs, PolicyKind::Lcfs];
@@ -51,7 +52,9 @@ fn main() {
     for rho_prime in LOADS {
         for kind in KINDS {
             let panel = Panel { rho_prime, m: M };
-            let (p, h) = simulate_with_horizon(panel, kind, K_TAU, settings(), SEED);
+            let (plan, churn) = (FaultPlan::none(), ChurnPlan::none());
+            let run = simulate_churn(panel, kind, K_TAU, settings(), SEED, plan, churn);
+            let (p, h) = (run.point, run.horizon);
             assert!(
                 h.jumps > 0,
                 "fast path never engaged at rho'={rho_prime} {}",

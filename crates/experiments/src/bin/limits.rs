@@ -12,20 +12,32 @@
 //! exported artifacts are byte-identical for any worker count. Exits
 //! with [`diag::EXIT_FAILURE`] if any check fails.
 
-use tcw_experiments::diag;
-use tcw_experiments::sweep::{jobs_from_args, run_parallel_with_progress};
-use tcw_experiments::{
-    observe_engine_cell, write_observability, CellArtifacts, ObsConfig, SweepMeta,
-};
+use tcw_experiments::{diag, supervised_cells, Cli, JournalItem};
 use tcw_numerics::grid::GridDist;
 use tcw_queueing::impatient::{loss_probability, p_idle};
 use tcw_queueing::simqueue::{simulate, LossMode};
+use tcw_sim::snap::{SnapError, SnapReader, SnapWriter};
 
 /// One boundary check: name, pass/fail, human-readable detail.
 struct Check {
-    name: &'static str,
+    name: String,
     ok: bool,
     detail: String,
+}
+
+impl JournalItem for Check {
+    fn encode(&self, w: &mut SnapWriter) {
+        w.push_str(&self.name);
+        w.push(u64::from(self.ok));
+        w.push_str(&self.detail);
+    }
+    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(Check {
+            name: r.take_str()?,
+            ok: r.take()? != 0,
+            detail: r.take_str()?,
+        })
+    }
 }
 
 fn panel_checks(
@@ -40,14 +52,14 @@ fn panel_checks(
     let p0 = loss_probability(lambda, &service, 0.0);
     let expect = rho / (1.0 + rho);
     checks.push(Check {
-        name: "K -> 0 limit",
+        name: "K -> 0 limit".into(),
         ok: (p0 - expect).abs() < 1e-9,
         detail: format!("p(loss) = {p0:.6}, rho/(1+rho) = {expect:.6}"),
     });
 
     let pinf = loss_probability(lambda, &service, 200.0 * m as f64);
     checks.push(Check {
-        name: "K -> inf limit",
+        name: "K -> inf limit".into(),
         ok: pinf < 1e-4,
         detail: format!("p(loss at K = 200 M) = {pinf:.2e}"),
     });
@@ -57,19 +69,19 @@ fn panel_checks(
     let idle = p_idle(lambda, &service, k);
     let flow = (1.0 - p) * rho - (1.0 - idle);
     checks.push(Check {
-        name: "eq. 4.6 flow conservation (analytic)",
+        name: "eq. 4.6 flow conservation (analytic)".into(),
         ok: flow.abs() < 1e-9,
         detail: format!("p(accept)*rho - (1 - P(0)) = {flow:.2e}"),
     });
 
     let sim = simulate(lambda, &service, k, LossMode::Balking, 300_000, 7);
     checks.push(Check {
-        name: "eq. 4.7 vs independent queue simulation",
+        name: "eq. 4.7 vs independent queue simulation".into(),
         ok: (sim.loss - p).abs() < 0.01,
         detail: format!("analytic {p:.4}, simulated {:.4}", sim.loss),
     });
     checks.push(Check {
-        name: "eq. 4.6 flow conservation (simulated)",
+        name: "eq. 4.6 flow conservation (simulated)".into(),
         ok: (sim.busy - (1.0 - sim.loss) * rho).abs() < 0.01,
         detail: format!(
             "busy {:.4} vs p(accept)*rho {:.4}",
@@ -80,7 +92,7 @@ fn panel_checks(
 
     let front = simulate(lambda, &service, k, LossMode::FrontOfQueue, 300_000, 8);
     checks.push(Check {
-        name: "figure 5 equivalence",
+        name: "figure 5 equivalence".into(),
         ok: (front.loss - sim.loss).abs() < 0.01 && (front.busy - sim.busy).abs() < 0.01,
         detail: format!(
             "front: loss {:.4} busy {:.4}; balk: loss {:.4} busy {:.4}",
@@ -109,40 +121,27 @@ fn panel_checks(
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = match ObsConfig::split_args(&raw) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("limits", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
-    let jobs = jobs_from_args("limits", &args);
+    let cli = Cli::from_env("limits", &[]);
     let mut failures = 0u32;
     println!("eq. 4.7 boundary checks\n");
 
-    let cells: [(f64, u64); 4] = [(0.01, 25), (0.02, 25), (0.03, 25), (0.0075, 100)];
-    let caps = obs.capture();
-    let progress = obs
-        .progress
-        .then(|| tcw_obs::Progress::new(cells.len(), jobs));
-    let outcomes: Vec<(Vec<Check>, CellArtifacts)> =
-        run_parallel_with_progress(&cells, jobs, progress.as_ref(), |i, &(lambda, m)| {
-            let label = format!("lambda={lambda} M={m}");
-            let l_s = format!("{lambda}");
-            let m_s = format!("{m}");
-            let labels = [("lambda", l_s.as_str()), ("m", m_s.as_str())];
-            observe_engine_cell(caps, i, &label, &labels, |_obs, sink| {
-                panel_checks(lambda, m, sink)
-            })
-        });
-    if let Some(p) = &progress {
-        p.finish();
-    }
-    let (outcomes, cell_artifacts): (Vec<_>, Vec<_>) =
-        outcomes.into_iter().unzip::<_, _, Vec<_>, Vec<_>>();
+    const CELLS: [(f64, u64); 4] = [(0.01, 25), (0.02, 25), (0.03, 25), (0.0075, 100)];
+    let mut words = vec![CELLS.len() as u64];
+    words.extend(CELLS.iter().flat_map(|&(lambda, m)| [lambda.to_bits(), m]));
+    let outcomes = supervised_cells(
+        &cli,
+        CELLS.len(),
+        tcw_sim::snap::checksum(&words),
+        |i| {
+            let (lambda, m) = CELLS[i];
+            let labels = vec![("lambda", format!("{lambda}")), ("m", format!("{m}"))];
+            (format!("lambda={lambda} M={m}"), labels)
+        },
+        |_, _| None,
+        |i, _obs, sink| panel_checks(CELLS[i].0, CELLS[i].1, sink),
+    );
 
-    for (&(lambda, m), checks) in cells.iter().zip(&outcomes) {
+    for (&(lambda, m), checks) in CELLS.iter().zip(&outcomes) {
         let rho = lambda * m as f64;
         println!("lambda = {lambda}, M = {m} (rho = {rho:.3}):");
         for c in checks {
@@ -172,17 +171,6 @@ fn main() {
             1.0 - 1.0 / 1.5
         );
         failures += 1;
-    }
-
-    if let Err(e) = write_observability(
-        &obs,
-        &cell_artifacts,
-        SweepMeta {
-            cells: cell_artifacts.len(),
-        },
-    ) {
-        diag::error("limits", &e);
-        std::process::exit(diag::EXIT_FAILURE);
     }
 
     if failures > 0 {

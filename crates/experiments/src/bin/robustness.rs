@@ -6,10 +6,10 @@
 //! deafness. Results land in `results/robustness.csv` and
 //! `results/robustness.txt`.
 //!
-//! Every run executes under a panic guard: a panic, a tripped invariant,
-//! or a detected divergence writes a replay artifact under
-//! `results/failures/` containing the seed, the fault plan and the
-//! workload. Re-running with
+//! Every run executes under the sweep supervisor: a cell that keeps
+//! panicking, a tripped invariant, or a detected divergence writes a
+//! replay artifact under `results/failures/` containing the seed, the
+//! fault plan and the workload. Re-running with
 //!
 //! ```text
 //! cargo run --release -p tcw-experiments --bin robustness -- --replay <artifact>
@@ -18,17 +18,11 @@
 //! re-executes the identical timeline and must reproduce the identical
 //! failure (the binary exits non-zero if it does not).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use tcw_experiments::diag;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
-use tcw_experiments::replay::{execute, panic_message, replay, FailureRecord};
-use tcw_experiments::runner::{FaultSimPoint, PolicyKind, SimSettings};
-use tcw_experiments::supervise::{supervised_cells, SupervisorOptions};
-use tcw_experiments::sweep::{only_jobs_from_args, run_parallel_with_progress};
-use tcw_experiments::{
-    observed_cell, write_observability, CellArtifacts, ObsConfig, Panel, SweepMeta,
-};
+use tcw_experiments::replay::{execute, replay, FailureRecord};
+use tcw_experiments::runner::{simulate_churn_observed, PolicyKind, SimSettings};
+use tcw_experiments::{supervised_cells, Cli, Flag, Panel};
 use tcw_mac::{ChurnPlan, FaultPlan};
 
 const FAULT_PROBS: [f64; 5] = [0.0, 0.01, 0.02, 0.05, 0.10];
@@ -81,43 +75,10 @@ fn base_record(rho_prime: f64, plan: FaultPlan) -> FailureRecord {
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = match ObsConfig::split_args(&raw) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("robustness", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
-    let (sup, args) = match SupervisorOptions::split_args(&args) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("robustness", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
-    if sup.is_some() && obs.wants_telemetry() {
-        diag::error(
-            "robustness",
-            "supervision flags are incompatible with --trace-events/--spans/--metrics",
-        );
-        std::process::exit(diag::EXIT_USAGE);
+    let cli = Cli::from_env("robustness", &[Flag::value("--replay").alone()]);
+    if let Some(path) = cli.operands("--replay") {
+        std::process::exit(replay(Path::new(&path[0])));
     }
-    if args.first().is_some_and(|a| a == "--replay") {
-        let Some(path) = args.get(1) else {
-            diag::error("robustness", "--replay needs an artifact path");
-            std::process::exit(diag::EXIT_USAGE);
-        };
-        if let Some(extra) = args.get(2) {
-            diag::error(
-                "robustness",
-                &format!("unknown argument {extra:?} after --replay PATH"),
-            );
-            std::process::exit(diag::EXIT_USAGE);
-        }
-        std::process::exit(replay(Path::new(path)));
-    }
-    let jobs = only_jobs_from_args("robustness", &args);
 
     let results = Path::new("results");
     let failures_dir = results.join("failures");
@@ -128,138 +89,60 @@ fn main() {
 
     println!("fault-injection sweep: controlled protocol, M={M}, K={K_TAU} tau\n");
 
-    // The full load × fault-probability grid runs as one parallel sweep;
-    // each worker catches its cell's panic so a failing cell is reported
-    // (and its replay artifact written) in deterministic cell order below,
-    // exactly as the serial sweep did.
-    let cells: Vec<(f64, f64)> = LOADS
-        .iter()
-        .flat_map(|&rho| FAULT_PROBS.iter().map(move |&p| (rho, p)))
-        .collect();
-    let (outcomes, cell_artifacts): (Vec<Result<FaultSimPoint, String>>, Vec<CellArtifacts>) =
-        if let Some(sup) = &sup {
-            // The seed, panel shape and grid size define the cells; any
-            // change to them invalidates a resume journal.
-            let fingerprint =
-                tcw_sim::snap::checksum(&[SEED, M, K_TAU.to_bits(), cells.len() as u64]);
-            let points = supervised_cells(
-                "robustness",
-                "robustness",
-                cells.len(),
-                jobs,
-                sup,
-                obs.progress,
-                fingerprint,
-                |cell| {
-                    let rho = LOADS[cell / FAULT_PROBS.len()];
-                    let p = FAULT_PROBS[cell % FAULT_PROBS.len()];
-                    format!("rho'={rho:.2} p={p:.2} seed {SEED}")
-                },
-                |i| {
-                    let rho = LOADS[i / FAULT_PROBS.len()];
-                    let p = FAULT_PROBS[i % FAULT_PROBS.len()];
-                    let rec = base_record(rho, FaultPlan::uniform(p));
-                    let point = tcw_experiments::runner::simulate_churn(
-                        rec.panel,
-                        rec.policy,
-                        rec.k_tau,
-                        rec.settings,
-                        rec.seed,
-                        rec.plan,
-                        ChurnPlan::none(),
-                    );
-                    FaultSimPoint {
-                        point: point.point,
-                        faults: point.faults,
-                    }
-                },
-            );
-            let n = points.len();
-            (
-                points.into_iter().map(Ok).collect(),
-                (0..n).map(|_| CellArtifacts::default()).collect(),
+    // The full load × fault-probability grid runs as one supervised sweep.
+    // The seed, panel shape and grid size define the cells; any change to
+    // them invalidates a resume journal.
+    let cell = |i: usize| {
+        let (rho, p) = (
+            LOADS[i / FAULT_PROBS.len()],
+            FAULT_PROBS[i % FAULT_PROBS.len()],
+        );
+        (rho, p, base_record(rho, FaultPlan::uniform(p)))
+    };
+    let n = LOADS.len() * FAULT_PROBS.len();
+    let outcomes = supervised_cells(
+        &cli,
+        n,
+        tcw_sim::snap::checksum(&[SEED, M, K_TAU.to_bits(), n as u64]),
+        |i| {
+            let (rho, p, _) = cell(i);
+            let labels = vec![("rho", format!("{rho}")), ("fault_prob", format!("{p}"))];
+            (format!("rho={rho:.2} p={p:.2}"), labels)
+        },
+        |i, message| {
+            let (rho, p, mut failed) = cell(i);
+            failed.kind = "panic".to_string();
+            failed.detail = message.to_string();
+            let path = failures_dir.join(format!(
+                "failure_panic_seed{}_rho{:02}_p{:02}.json",
+                failed.seed,
+                (rho * 100.0) as u32,
+                (p * 100.0).round() as u32
+            ));
+            failed.save(&path).expect("write replay artifact");
+            Some(path)
+        },
+        move |i, obs, sink| {
+            let (_, _, rec) = cell(i);
+            simulate_churn_observed(
+                rec.panel,
+                rec.policy,
+                rec.k_tau,
+                rec.settings,
+                rec.seed,
+                rec.plan,
+                rec.churn,
+                obs,
+                sink,
             )
-        } else {
-            let caps = obs.capture();
-            let progress = obs
-                .progress
-                .then(|| tcw_obs::Progress::new(cells.len(), jobs));
-            let outcomes: Vec<(Result<FaultSimPoint, String>, CellArtifacts)> =
-                run_parallel_with_progress(&cells, jobs, progress.as_ref(), |i, &(rho, p)| {
-                    let rec = base_record(rho, FaultPlan::uniform(p));
-                    let label = format!("rho={rho:.2} p={p:.2}");
-                    let rho_s = format!("{rho}");
-                    let p_s = format!("{p}");
-                    let labels = [("rho", rho_s.as_str()), ("fault_prob", p_s.as_str())];
-                    catch_unwind(AssertUnwindSafe(|| {
-                        let (point, art) = observed_cell(
-                            caps,
-                            i,
-                            &label,
-                            &labels,
-                            rec.panel,
-                            rec.policy,
-                            rec.k_tau,
-                            rec.settings,
-                            rec.seed,
-                            rec.plan,
-                            ChurnPlan::none(),
-                        );
-                        if let Some(pr) = &progress {
-                            let h = point.horizon;
-                            pr.note_horizon(
-                                h.jumps,
-                                h.slots_skipped,
-                                h.batched_runs,
-                                h.batched_slots,
-                            );
-                        }
-                        (
-                            FaultSimPoint {
-                                point: point.point,
-                                faults: point.faults,
-                            },
-                            art,
-                        )
-                    }))
-                    .map(|(fsp, art)| (Ok(fsp), art))
-                    .unwrap_or_else(|e| (Err(panic_message(e)), CellArtifacts::default()))
-                });
-            if let Some(p) = &progress {
-                p.finish();
-            }
-            outcomes.into_iter().unzip()
-        };
+        },
+    );
 
     let mut outcome_iter = outcomes.into_iter();
     for (li, &rho) in LOADS.iter().enumerate() {
         let mut points = Vec::new();
         for &p in &FAULT_PROBS {
-            let rec = base_record(rho, FaultPlan::uniform(p));
-            let fsp: FaultSimPoint = match outcome_iter.next().expect("one outcome per cell") {
-                Ok(fsp) => fsp,
-                Err(message) => {
-                    let mut failed = rec.clone();
-                    failed.kind = "panic".to_string();
-                    failed.detail = message;
-                    let path = failures_dir.join(format!(
-                        "failure_panic_seed{}_rho{:02}_p{:02}.json",
-                        rec.seed,
-                        (rho * 100.0) as u32,
-                        (p * 100.0).round() as u32
-                    ));
-                    failed.save(&path).expect("write replay artifact");
-                    diag::error(
-                        "robustness",
-                        &format!(
-                            "run panicked; replay artifact written to {}\n  reproduce: cargo run --release -p tcw-experiments --bin robustness -- --replay {}",
-                            path.display(),
-                            path.display()
-                        ),
-                    );
-                    std::process::exit(diag::EXIT_FAILURE);
-                }
-            };
+            let fsp = outcome_iter.next().expect("one outcome per cell");
             let line = format!(
                 "rho'={rho:.2} p={p:.2}: loss={:.4} util={:.3} corrupted={} erased={} resyncs={} abandoned={} reopened={} fault_losses={}",
                 fsp.point.loss,
@@ -361,15 +244,5 @@ fn main() {
     )
     .expect("write csv");
     std::fs::write(results.join("robustness.txt"), &report).expect("write report");
-    if let Err(e) = write_observability(
-        &obs,
-        &cell_artifacts,
-        SweepMeta {
-            cells: cell_artifacts.len(),
-        },
-    ) {
-        diag::error("robustness", &e);
-        std::process::exit(diag::EXIT_FAILURE);
-    }
     println!("\nwrote results/robustness.csv and results/robustness.txt");
 }

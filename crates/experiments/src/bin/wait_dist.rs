@@ -18,8 +18,7 @@
 
 use std::path::PathBuf;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
-use tcw_experiments::sweep::{jobs_from_args, run_parallel_with_progress};
-use tcw_experiments::{diag, observe_engine_cell, write_observability, ObsConfig, SweepMeta};
+use tcw_experiments::{diag, supervised_cells, Cli};
 use tcw_mac::ChannelConfig;
 use tcw_numerics::grid::renewal_series;
 use tcw_queueing::marching::{controlled_curve, PanelConfig};
@@ -31,15 +30,7 @@ use tcw_window::metrics::MeasureConfig;
 use tcw_window::policy::ControlPolicy;
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = match ObsConfig::split_args(&raw) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("wait_dist", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
-    let jobs = jobs_from_args("wait_dist", &args);
+    let cli = Cli::from_env("wait_dist", &[]);
     let (rho_prime, m, k_tau) = (0.75f64, 25u64, 200.0f64);
     let lambda = rho_prime / m as f64;
     println!("waiting-time distribution at rho' = {rho_prime}, M = {m}, K = {k_tau} tau\n");
@@ -67,16 +58,18 @@ fn main() {
     // sweep binaries (`--jobs` is accepted, extra workers stay idle).
     let tpt = 64u64;
     let grid: Vec<f64> = (1..=40).map(|i| k_tau * i as f64 / 40.0).collect();
-    let seeds = [77u64];
-    let caps = obs.capture();
-    let progress = obs
-        .progress
-        .then(|| tcw_obs::Progress::new(seeds.len(), jobs));
-    let sim = run_parallel_with_progress(&seeds, jobs, progress.as_ref(), |i, &seed| {
-        let label = format!("wait_dist seed={seed}");
-        let seed_s = format!("{seed}");
-        let labels = [("seed", seed_s.as_str())];
-        observe_engine_cell(caps, i, &label, &labels, |observer, sink| {
+    let seed = 77u64;
+    let cdf_grid = grid.clone();
+    let sim = supervised_cells(
+        &cli,
+        1,
+        tcw_sim::snap::checksum(&[seed, tpt, m, k_tau.to_bits(), rho_prime.to_bits()]),
+        |_| {
+            let labels = vec![("seed", format!("{seed}"))];
+            (format!("wait_dist seed={seed}"), labels)
+        },
+        |_, _| None,
+        move |_, observer, sink| {
             let channel = ChannelConfig {
                 ticks_per_tau: tpt,
                 message_slots: m,
@@ -104,14 +97,10 @@ fn main() {
                 eng.channel_stats.emit(sink);
             }
             let hist = eng.metrics.paper_delay_histogram();
-            let cdf: Vec<f64> = grid.iter().map(|&w| hist.cdf(w * tpt as f64)).collect();
+            let cdf: Vec<f64> = cdf_grid.iter().map(|&w| hist.cdf(w * tpt as f64)).collect();
             (cdf, eng.metrics.offered())
-        })
-    });
-    if let Some(p) = &progress {
-        p.finish();
-    }
-    let (sim, cell_artifacts): (Vec<_>, Vec<_>) = sim.into_iter().unzip();
+        },
+    );
     let (sim_cdf, offered) = &sim[0];
 
     // --- compare ----------------------------------------------------------
@@ -157,16 +146,6 @@ fn main() {
     println!("messages simulated : {offered}");
     println!("sup |analytic - simulated| over the CDF grid = {sup:.4}");
     println!("data: {}", path.display());
-    if let Err(e) = write_observability(
-        &obs,
-        &cell_artifacts,
-        SweepMeta {
-            cells: cell_artifacts.len(),
-        },
-    ) {
-        diag::error("wait_dist", &e);
-        std::process::exit(diag::EXIT_FAILURE);
-    }
     if sup > 0.05 {
         diag::error(
             "wait_dist",

@@ -556,11 +556,31 @@ impl EngineObserver for MutatingObserver<'_> {
 
 /// Runs one config under the monitor (and, for static-controller
 /// configs, the divergence detector), forwarding events to `extra`
-/// (tracer) and emitting telemetry into `sink` when given.
-///
-/// # Panics
-/// Propagates engine panics; [`execute`] wraps this in a catch.
+/// (tracer) and emitting telemetry into `sink` when given. An engine
+/// panic becomes a `panic` outcome carrying its message. Deterministic:
+/// the same config always returns the same outcome.
 pub fn run_observed(
+    cfg: &ChaosConfig,
+    extra: &mut dyn EngineObserver,
+    sink: Option<&mut dyn MetricSink>,
+) -> ChaosOutcome {
+    match catch_unwind(AssertUnwindSafe(|| run_monitored(cfg, extra, sink))) {
+        Ok(out) => out,
+        Err(payload) => ChaosOutcome {
+            kind: "panic".to_string(),
+            class: String::new(),
+            detail: panic_message(payload),
+            violations: 0,
+            divergences: 0,
+            checks: 0,
+            deliveries: 0,
+            offered: 0,
+            loss: 0.0,
+        },
+    }
+}
+
+fn run_monitored(
     cfg: &ChaosConfig,
     extra: &mut dyn EngineObserver,
     sink: Option<&mut dyn MetricSink>,
@@ -688,25 +708,9 @@ pub fn run_observed(
     }
 }
 
-/// Runs a config with no extra observer or sink, catching panics.
-/// Deterministic: the same config always returns the same outcome.
+/// Runs a config with no extra observer or sink (see [`run_observed`]).
 pub fn execute(cfg: &ChaosConfig) -> ChaosOutcome {
-    match catch_unwind(AssertUnwindSafe(|| {
-        run_observed(cfg, &mut NoopObserver, None)
-    })) {
-        Ok(out) => out,
-        Err(payload) => ChaosOutcome {
-            kind: "panic".to_string(),
-            class: String::new(),
-            detail: panic_message(payload),
-            violations: 0,
-            divergences: 0,
-            checks: 0,
-            deliveries: 0,
-            offered: 0,
-            loss: 0.0,
-        },
-    }
+    run_observed(cfg, &mut NoopObserver, None)
 }
 
 /// One shrinker trial.

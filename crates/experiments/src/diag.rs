@@ -27,6 +27,18 @@ pub fn error(tool: &str, msg: &str) {
     eprintln!("{tool}: {msg}");
 }
 
+/// Reports a malformed command line and exits with [`EXIT_USAGE`].
+pub fn usage(tool: &str, msg: &str) -> ! {
+    error(tool, msg);
+    std::process::exit(EXIT_USAGE)
+}
+
+/// Reports a runtime failure and exits with [`EXIT_FAILURE`].
+pub fn fail(tool: &str, msg: &str) -> ! {
+    error(tool, msg);
+    std::process::exit(EXIT_FAILURE)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -46,18 +46,16 @@ pub use chaos::{
     Mutation, ShrinkResult, ShrinkStep,
 };
 pub use obs::{
-    observe_engine_cell, observed_cell, write_observability, Capture, CellArtifacts, ObsConfig,
-    SweepMeta,
+    observe_engine_cell, write_observability, Capture, CellArtifacts, ObsConfig, SweepMeta,
 };
 pub use panels::{Panel, PANELS};
 pub use replay::FailureRecord;
 pub use runner::{
-    simulate_panel, simulate_panel_faulty, simulate_with_detector, DetectorReport, FaultCounters,
-    FaultSimPoint, PolicyKind, SimPoint, SimSettings,
+    simulate_panel, DetectorReport, FaultCounters, FaultSimPoint, PolicyKind, SimPoint, SimSettings,
 };
 pub use supervise::{
     load_engine_snapshot, run_supervised, save_engine_snapshot, snapshot_from_artifact,
     snapshot_to_artifact, supervised_cells, Journal, JournalItem, Quarantined, SupervisorOptions,
     SweepOutcome,
 };
-pub use sweep::{jobs_from_args, run_parallel, run_parallel_with_progress, Cell};
+pub use sweep::{run_parallel, Cell, Cli, Flag};

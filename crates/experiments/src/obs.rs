@@ -1,6 +1,7 @@
 //! Observability glue for the experiment binaries: the shared
-//! `--trace-events` / `--spans` / `--metrics` / `--progress` flags,
-//! per-cell telemetry capture, and deterministic artifact assembly.
+//! `--trace-events` / `--spans` / `--metrics` / `--progress` settings
+//! (parsed by [`crate::sweep::Cli`]), per-cell telemetry capture, and
+//! deterministic artifact assembly.
 //!
 //! Each sweep cell produces its telemetry into cell-local buffers (an
 //! NDJSON fragment from an [`EventTracer`], a lifecycle-span fragment
@@ -12,11 +13,6 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::panels::Panel;
-use crate::runner::{
-    simulate_churn, simulate_churn_observed, ChurnSimPoint, PolicyKind, SimSettings,
-};
-use tcw_mac::{ChurnPlan, FaultPlan};
 use tcw_obs::{EventTracer, Registry, SpanTracer};
 use tcw_window::trace::{NoopObserver, Tee};
 
@@ -62,44 +58,6 @@ impl Capture {
 }
 
 impl ObsConfig {
-    /// Extracts the observability flags from a raw argument list,
-    /// returning the parsed config and the remaining arguments (so each
-    /// binary's own argument handling never sees them).
-    pub fn split_args(args: &[String]) -> Result<(ObsConfig, Vec<String>), String> {
-        let mut cfg = ObsConfig::default();
-        let mut rest = Vec::with_capacity(args.len());
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            if a == "--trace-events" {
-                let v = it.next().ok_or("--trace-events needs a path")?;
-                cfg.trace_events = Some(PathBuf::from(v));
-            } else if let Some(v) = a.strip_prefix("--trace-events=") {
-                cfg.trace_events = Some(PathBuf::from(v));
-            } else if a == "--spans" {
-                let v = it.next().ok_or("--spans needs a path")?;
-                cfg.spans = Some(PathBuf::from(v));
-            } else if let Some(v) = a.strip_prefix("--spans=") {
-                cfg.spans = Some(PathBuf::from(v));
-            } else if a == "--metrics" {
-                let v = it.next().ok_or("--metrics needs a path")?;
-                cfg.metrics = Some(PathBuf::from(v));
-            } else if let Some(v) = a.strip_prefix("--metrics=") {
-                cfg.metrics = Some(PathBuf::from(v));
-            } else if a == "--progress" {
-                cfg.progress = true;
-            } else {
-                rest.push(a.clone());
-            }
-        }
-        Ok((cfg, rest))
-    }
-
-    /// Whether any per-cell telemetry (tracing, spans or metrics) is
-    /// requested.
-    pub fn wants_telemetry(&self) -> bool {
-        self.trace_events.is_some() || self.spans.is_some() || self.metrics.is_some()
-    }
-
     /// The per-cell capture selection these flags imply.
     pub fn capture(&self) -> Capture {
         Capture {
@@ -121,45 +79,19 @@ pub struct CellArtifacts {
     pub registry: Option<Registry>,
 }
 
-/// Runs one simulation cell with telemetry capture: when `caps.tracing`
-/// or `caps.spans`, the protocol event stream / message-lifecycle span
-/// stream is recorded under a `cell` header carrying `cell_index` and
-/// `label`; when `caps.metrics`, the run's metrics register into a fresh
-/// [`Registry`] under `labels`.
+/// Runs one engine-driving cell with telemetry capture: when
+/// `caps.tracing` or `caps.spans`, the protocol event stream /
+/// message-lifecycle span stream is recorded under a `cell` header
+/// carrying `cell_index` and `label`; when `caps.metrics`, the run's
+/// metrics register into a fresh [`Registry`] under `labels`. The closure
+/// receives the observer to thread through `Engine::run_until`/`drain`
+/// and, when metrics are on, the sink to `emit` counters into after the
+/// run.
 ///
-/// The simulated result is bit-identical to
-/// [`simulate_churn`] — observers are passive
-/// and never touch an RNG stream. Span capture alone keeps the
-/// event-horizon fast path on; event tracing forces slot stepping.
-#[allow(clippy::too_many_arguments)]
-pub fn observed_cell(
-    caps: Capture,
-    cell_index: usize,
-    label: &str,
-    labels: &[(&str, &str)],
-    panel: Panel,
-    kind: PolicyKind,
-    k_tau: f64,
-    settings: SimSettings,
-    seed: u64,
-    plan: FaultPlan,
-    churn: ChurnPlan,
-) -> (ChurnSimPoint, CellArtifacts) {
-    if !caps.any() {
-        let p = simulate_churn(panel, kind, k_tau, settings, seed, plan, churn);
-        return (p, CellArtifacts::default());
-    }
-    observe_engine_cell(caps, cell_index, label, labels, |obs, sink| {
-        simulate_churn_observed(panel, kind, k_tau, settings, seed, plan, churn, obs, sink)
-    })
-}
-
-/// Runs an arbitrary engine-driving closure with the same per-cell
-/// telemetry capture as [`observed_cell`], for binaries that build their
-/// engines directly instead of going through the shared runner. The
-/// closure receives the observer to thread through
-/// `Engine::run_until`/`drain` and, when metrics are on, the sink to
-/// `emit` counters into after the run.
+/// Observers are passive and never touch an RNG stream, so the result is
+/// bit-identical with capture on or off. With nothing captured the cell
+/// runs under a [`NoopObserver`]; span capture alone keeps the
+/// event-horizon fast path on, event tracing forces slot stepping.
 pub fn observe_engine_cell<T>(
     caps: Capture,
     cell_index: usize,
@@ -285,14 +217,18 @@ fn write_creating_dirs(path: &Path, text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{simulate_churn, simulate_churn_observed, PolicyKind, SimSettings};
+    use crate::sweep::{Cli, Flag};
+    use tcw_mac::{ChurnPlan, FaultPlan};
 
-    fn strs(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
+    fn parse(v: &[&str]) -> Result<Cli, String> {
+        let args: Vec<String> = v.iter().map(|s| s.to_string()).collect();
+        Cli::parse("t", &[Flag::switch("--quick")], &args)
     }
 
     #[test]
     fn split_args_extracts_obs_flags() {
-        let (cfg, rest) = ObsConfig::split_args(&strs(&[
+        let cli = parse(&[
             "--quick",
             "--trace-events",
             "out.ndjson",
@@ -301,78 +237,94 @@ mod tests {
             "--progress",
             "--jobs",
             "2",
-        ]))
+        ])
         .unwrap();
+        let cfg = &cli.obs;
         assert_eq!(cfg.trace_events.as_deref(), Some(Path::new("out.ndjson")));
         assert_eq!(cfg.spans.as_deref(), Some(Path::new("out.spans.ndjson")));
         assert_eq!(cfg.metrics.as_deref(), Some(Path::new("m.prom")));
         assert!(cfg.progress);
-        assert!(cfg.wants_telemetry());
         let caps = cfg.capture();
         assert!(caps.tracing && caps.metrics && caps.spans && caps.any());
-        assert_eq!(rest, strs(&["--quick", "--jobs", "2"]));
+        assert!(cli.has("--quick"));
+        assert_eq!(cli.jobs, 2);
     }
 
     #[test]
     fn spans_alone_count_as_telemetry() {
-        let (cfg, _) = ObsConfig::split_args(&strs(&["--spans", "s.spans.ndjson"])).unwrap();
-        assert!(cfg.wants_telemetry());
-        let caps = cfg.capture();
+        let caps = parse(&["--spans", "s.spans.ndjson"]).unwrap().obs.capture();
+        assert!(caps.any());
         assert!(caps.spans && !caps.tracing && !caps.metrics);
         assert!(!Capture::OFF.any());
     }
 
     #[test]
     fn split_args_rejects_missing_values() {
-        assert!(ObsConfig::split_args(&strs(&["--trace-events"])).is_err());
-        assert!(ObsConfig::split_args(&strs(&["--spans"])).is_err());
-        assert!(ObsConfig::split_args(&strs(&["--metrics"])).is_err());
+        for flag in ["--trace-events", "--spans", "--metrics"] {
+            assert_eq!(parse(&[flag]).unwrap_err(), format!("{flag} needs a value"));
+        }
     }
 
     #[test]
     fn no_flags_is_disabled() {
-        let (cfg, rest) = ObsConfig::split_args(&strs(&["--quick"])).unwrap();
-        assert!(!cfg.wants_telemetry());
-        assert!(!cfg.progress);
-        assert_eq!(rest, strs(&["--quick"]));
+        let cli = parse(&["--quick"]).unwrap();
+        assert!(!cli.obs.capture().any());
+        assert!(!cli.obs.progress);
     }
 
-    #[test]
-    fn observed_cell_matches_plain_run_and_captures_artifacts() {
-        let panel = crate::panels::PANELS[0];
-        let settings = SimSettings {
+    fn settings() -> SimSettings {
+        SimSettings {
             messages: 500,
             warmup: 50,
             ticks_per_tau: 8,
             stations: 20,
             guard: false,
+        }
+    }
+
+    fn observed(
+        caps: Capture,
+        index: usize,
+        label: &str,
+        labels: &[(&str, &str)],
+        seed: u64,
+    ) -> (crate::runner::ChurnSimPoint, CellArtifacts) {
+        observe_engine_cell(caps, index, label, labels, |obs, sink| {
+            simulate_churn_observed(
+                crate::panels::PANELS[0],
+                PolicyKind::Controlled,
+                100.0,
+                settings(),
+                seed,
+                FaultPlan::none(),
+                ChurnPlan::none(),
+                obs,
+                sink,
+            )
+        })
+    }
+
+    fn plain(seed: u64) -> crate::runner::ChurnSimPoint {
+        simulate_churn(
+            crate::panels::PANELS[0],
+            PolicyKind::Controlled,
+            100.0,
+            settings(),
+            seed,
+            FaultPlan::none(),
+            ChurnPlan::none(),
+        )
+    }
+
+    #[test]
+    fn observed_cell_matches_plain_run_and_captures_artifacts() {
+        let caps = Capture {
+            tracing: true,
+            metrics: true,
+            spans: true,
         };
-        let plain = simulate_churn(
-            panel,
-            PolicyKind::Controlled,
-            100.0,
-            settings,
-            7,
-            FaultPlan::none(),
-            ChurnPlan::none(),
-        );
-        let (observed, art) = observed_cell(
-            Capture {
-                tracing: true,
-                metrics: true,
-                spans: true,
-            },
-            0,
-            "test cell",
-            &[("seed", "7")],
-            panel,
-            PolicyKind::Controlled,
-            100.0,
-            settings,
-            7,
-            FaultPlan::none(),
-            ChurnPlan::none(),
-        );
+        let (observed, art) = observed(caps, 0, "test cell", &[("seed", "7")], 7);
+        let plain = plain(7);
         assert_eq!(plain.point.loss.to_bits(), observed.point.loss.to_bits());
         assert_eq!(plain.point.offered, observed.point.offered);
         let trace = art.trace.expect("trace captured");
@@ -389,39 +341,12 @@ mod tests {
 
     #[test]
     fn spans_only_capture_matches_plain_run() {
-        let panel = crate::panels::PANELS[0];
-        let settings = SimSettings {
-            messages: 500,
-            warmup: 50,
-            ticks_per_tau: 8,
-            stations: 20,
-            guard: false,
+        let caps = Capture {
+            spans: true,
+            ..Capture::OFF
         };
-        let plain = simulate_churn(
-            panel,
-            PolicyKind::Controlled,
-            100.0,
-            settings,
-            11,
-            FaultPlan::none(),
-            ChurnPlan::none(),
-        );
-        let (observed, art) = observed_cell(
-            Capture {
-                spans: true,
-                ..Capture::OFF
-            },
-            3,
-            "spans only",
-            &[],
-            panel,
-            PolicyKind::Controlled,
-            100.0,
-            settings,
-            11,
-            FaultPlan::none(),
-            ChurnPlan::none(),
-        );
+        let (observed, art) = observed(caps, 3, "spans only", &[], 11);
+        let plain = plain(11);
         assert_eq!(plain.point.loss.to_bits(), observed.point.loss.to_bits());
         assert_eq!(plain.point.offered, observed.point.offered);
         assert!(art.trace.is_none());

@@ -320,27 +320,9 @@ pub fn simulate_panel(
     settings: SimSettings,
     seed: u64,
 ) -> SimPoint {
-    // With FaultPlan::none() this is bit-identical to a fault-free build.
-    simulate_panel_faulty(panel, kind, k_tau, settings, seed, FaultPlan::none()).point
-}
-
-/// Runs one panel point with an injected [`FaultPlan`] (the deafness
-/// fields are ignored here — deafness is a per-station receive fault, see
-/// [`simulate_with_detector`]).
-pub fn simulate_panel_faulty(
-    panel: Panel,
-    kind: PolicyKind,
-    k_tau: f64,
-    settings: SimSettings,
-    seed: u64,
-    plan: FaultPlan,
-) -> FaultSimPoint {
-    // With ChurnPlan::none() this is bit-identical to a churn-free build.
-    let p = simulate_churn(panel, kind, k_tau, settings, seed, plan, ChurnPlan::none());
-    FaultSimPoint {
-        point: p.point,
-        faults: p.faults,
-    }
+    // With both plans none this is bit-identical to a fault-free build.
+    let (plan, churn) = (FaultPlan::none(), ChurnPlan::none());
+    simulate_churn(panel, kind, k_tau, settings, seed, plan, churn).point
 }
 
 /// Runs one panel point with both a [`FaultPlan`] and a [`ChurnPlan`]
@@ -400,24 +382,6 @@ pub fn simulate_churn_observed(
     }
 }
 
-/// Runs one clean panel point and reports the measured point together
-/// with the event-horizon fast-path counters — how many idle-run jumps
-/// and batched resolutions the engine took while producing it. The
-/// counters are telemetry only (the result is bit-identical with the
-/// fast path off); sweeps that make performance claims commit them so
-/// CI can prove the fast path actually engaged.
-pub fn simulate_with_horizon(
-    panel: Panel,
-    kind: PolicyKind,
-    k_tau: f64,
-    settings: SimSettings,
-    seed: u64,
-) -> (SimPoint, tcw_window::engine::HorizonStats) {
-    let (mut eng, horizon, _policy) = build_engine(panel, kind, k_tau, settings, seed);
-    run_to_horizon(&mut eng, horizon, &mut NoopObserver, None);
-    (collect_point(&eng, k_tau, settings), eng.horizon_stats)
-}
-
 /// Age-of-Information summary of one run, in units of `tau`.
 ///
 /// The underlying sawtooth integral is exact integer arithmetic over
@@ -467,20 +431,9 @@ pub struct AoiRun {
 }
 
 /// Runs one clean panel point and returns the conventional measurements
-/// together with the Age-of-Information summary.
-pub fn simulate_aoi(
-    panel: Panel,
-    kind: PolicyKind,
-    k_tau: f64,
-    settings: SimSettings,
-    seed: u64,
-) -> AoiRun {
-    simulate_aoi_observed(panel, kind, k_tau, settings, seed, &mut NoopObserver, None)
-}
-
-/// [`simulate_aoi`] with telemetry attached; the observer and sink are
-/// strictly passive, so the measured result is bit-identical to the
-/// unobserved run.
+/// together with the Age-of-Information summary, with telemetry attached;
+/// the observer and sink are strictly passive, so the measured result is
+/// bit-identical with or without them.
 pub fn simulate_aoi_observed(
     panel: Panel,
     kind: PolicyKind,
@@ -513,28 +466,6 @@ pub struct DetectorReport {
     pub churn_repairs: u64,
     /// Description of the first divergence, if any.
     pub first_divergence: Option<String>,
-}
-
-/// Runs one panel point with a fault plan while a deaf listening station
-/// (index 0, deafness parameters taken from `plan`) tracks the run through
-/// a [`DivergenceDetector`].
-pub fn simulate_with_detector(
-    panel: Panel,
-    kind: PolicyKind,
-    k_tau: f64,
-    settings: SimSettings,
-    seed: u64,
-    plan: FaultPlan,
-) -> (FaultSimPoint, DetectorReport) {
-    let (p, report) =
-        simulate_churn_with_detector(panel, kind, k_tau, settings, seed, plan, ChurnPlan::none());
-    (
-        FaultSimPoint {
-            point: p.point,
-            faults: p.faults,
-        },
-        report,
-    )
 }
 
 /// Runs one panel point with fault and churn plans while listening
@@ -572,62 +503,6 @@ pub fn simulate_churn_with_detector(
         },
         report,
     )
-}
-
-/// A replicated estimate: independent seeds, Student-t confidence
-/// interval across replications. This is the rigorous interval for
-/// autocorrelated protocol output (the per-run binomial CI in
-/// [`SimPoint::ci95`] treats messages as independent and is only
-/// indicative).
-#[derive(Clone, Copy, Debug)]
-pub struct Replicated {
-    /// Mean loss across replications.
-    pub loss: f64,
-    /// 95% half-width across replications (t-distribution).
-    pub ci95: f64,
-    /// Number of replications.
-    pub replications: u32,
-}
-
-/// Runs `replications` independent seeds of the same panel point and
-/// aggregates with a t-interval.
-///
-/// Replication `r` runs under master seed
-/// [`tcw_sim::rng::stream_seed`]`(base_seed, r)` — the `r`-th output of
-/// the SplitMix64 sequence rooted at `base_seed` — and the engine forks
-/// its per-component substreams from that master seed, so replications
-/// never share a stream. Replications execute on the parallel sweep
-/// executor; each is seeded independently and aggregation happens in
-/// replication order, so the result is identical at any worker count.
-///
-/// # Panics
-/// Panics if `replications < 2`.
-pub fn replicate_panel(
-    panel: Panel,
-    kind: PolicyKind,
-    k_tau: f64,
-    settings: SimSettings,
-    base_seed: u64,
-    replications: u32,
-) -> Replicated {
-    assert!(replications >= 2);
-    let seeds: Vec<u64> = (0..u64::from(replications))
-        .map(|r| tcw_sim::rng::stream_seed(base_seed, r))
-        .collect();
-    let losses = crate::sweep::run_parallel(&seeds, crate::sweep::default_jobs(), |_, &seed| {
-        simulate_panel(panel, kind, k_tau, settings, seed).loss
-    });
-    // BatchMeans with batch size 1: each replication is one independent
-    // batch, so the collector's t-interval is exactly the replication CI.
-    let mut bm = tcw_sim::stats::BatchMeans::new(1);
-    for loss in losses {
-        bm.record(loss);
-    }
-    Replicated {
-        loss: bm.mean(),
-        ci95: bm.ci95_half_width().unwrap_or(f64::INFINITY),
-        replications,
-    }
 }
 
 #[cfg(test)]
@@ -671,16 +546,21 @@ mod tests {
     fn replication_interval_contains_analytic_value() {
         let panel = PANELS[2]; // rho' = 0.50, M = 25
         let k = 100.0;
-        let rep = crate::runner::replicate_panel(panel, PolicyKind::Controlled, k, quick(), 9, 4);
-        assert_eq!(rep.replications, 4);
-        assert!(rep.ci95.is_finite());
+        // Four independent seeds; BatchMeans with batch size 1 makes each
+        // replication one batch, so its t-interval is the replication CI
+        // (the per-run binomial CI treats messages as independent).
+        let mut bm = tcw_sim::stats::BatchMeans::new(1);
+        for r in 0..4 {
+            let seed = tcw_sim::rng::stream_seed(9, r);
+            bm.record(simulate_panel(panel, PolicyKind::Controlled, k, quick(), seed).loss);
+        }
+        let (loss, ci95) = (bm.mean(), bm.ci95_half_width().unwrap_or(f64::INFINITY));
+        assert!(ci95.is_finite());
         // The analytic value (~0.0046) lies inside the replication CI.
         let analytic = 0.0046;
         assert!(
-            (rep.loss - analytic).abs() <= rep.ci95 + 0.01,
-            "analytic {analytic} outside {:.4} ± {:.4}",
-            rep.loss,
-            rep.ci95
+            (loss - analytic).abs() <= ci95 + 0.01,
+            "analytic {analytic} outside {loss:.4} ± {ci95:.4}"
         );
     }
 

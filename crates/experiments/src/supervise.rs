@@ -1,18 +1,19 @@
 //! Crash-safe sweep supervision: retries, a wall-clock watchdog,
 //! quarantine, and a crash-consistent resume journal.
 //!
-//! The plain executor in [`crate::sweep`] assumes every cell finishes;
-//! a panic aborts the whole sweep (with its cell index surfaced) and a
-//! wedged cell stalls it forever. This module adds the fault-tolerant
-//! mode behind the `--resume PATH`, `--cell-timeout SECS` and
-//! `--retries N` flags of the experiment binaries:
+//! [`supervised_cells`] is the one executor every sweep binary runs its
+//! grid through, with or without the `--resume PATH`, `--cell-timeout
+//! SECS` and `--retries N` flags; without them it runs under
+//! [`SupervisorOptions::default`] (two retries, no watchdog, no journal):
 //!
 //! * **Supervision** — [`run_supervised`] executes each cell under
 //!   [`std::panic::catch_unwind`] and, when a timeout is configured, on a
 //!   watchdogged thread cut off by `recv_timeout`. Failed attempts are
 //!   retried with exponential backoff; a cell that exhausts its budget is
-//!   **quarantined** (reported with its index so the caller can name the
-//!   replay seed) while the rest of the sweep completes.
+//!   **quarantined** (reported with its index and label, the binary's
+//!   failure hook writes its replay artifact) while the rest of the sweep
+//!   completes, and the binary then exits with
+//!   [`crate::diag::EXIT_FAILURE`] without writing outputs.
 //! * **Journal** — completed cells are appended to a per-line-checksummed
 //!   NDJSON journal, rewritten through a temp file and `rename` so the
 //!   file on disk is always a consistent prefix of the sweep. Reopening
@@ -20,8 +21,13 @@
 //!   version, experiment tag, grid fingerprint) and every line checksum,
 //!   then skips the journaled cells; corruption or staleness is rejected
 //!   up front and the binaries exit with [`crate::diag::EXIT_FAILURE`].
-//! * **Observability** — retry/timeout/quarantine/resume-skip events feed
-//!   the [`tcw_obs::Progress`] supervisor counters (rendered in the
+//! * **Observability** — each cell runs under
+//!   [`crate::obs::observe_engine_cell`], so `--trace-events`, `--spans`
+//!   and `--metrics` compose with supervision and with a fresh journal.
+//!   Only the cell's result is journaled; its telemetry stays in memory,
+//!   so telemetry with a journal that already holds completed cells is a
+//!   usage error. Retry/timeout/quarantine/resume-skip events feed the
+//!   [`tcw_obs::Progress`] supervisor counters (rendered in the
 //!   `--progress` line) and are totalled in [`SweepOutcome`].
 //!
 //! Because every cell is a pure function of its index, a resumed sweep
@@ -41,17 +47,23 @@
 //! `tcw_window::Engine::snapshot` wrapped in the same flat-JSON envelope
 //! as every replay artifact, with an explicit whole-stream checksum.
 
+use crate::diag;
+use crate::obs::{observe_engine_cell, write_observability, CellArtifacts, SweepMeta};
 use crate::replay::{
     load_artifact, panic_message, parse_flat, ArtifactReader, ArtifactWriter, ARTIFACT_VERSION,
 };
+use crate::sweep::Cli;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use tcw_obs::Progress;
 use tcw_sim::snap::{self, SnapError, SnapReader, SnapWriter};
+use tcw_sim::stats::MetricSink;
+use tcw_window::engine::HorizonStats;
+use tcw_window::trace::EngineObserver;
 
 /// Journal file format version; bumped on any layout change.
 pub const JOURNAL_FORMAT: u64 = 2;
@@ -62,7 +74,7 @@ pub const SNAPSHOT_EXPERIMENT: &str = "engine-snapshot";
 // ---------------------------------------------------------------------------
 // Options
 
-/// Supervision knobs parsed from the command line.
+/// Supervision knobs (`--resume`, `--cell-timeout`, `--retries`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SupervisorOptions {
     /// Journal path (`--resume PATH`): created when absent, validated and
@@ -88,54 +100,6 @@ impl Default for SupervisorOptions {
     }
 }
 
-impl SupervisorOptions {
-    /// Splits the supervision flags out of a raw argument list. Returns
-    /// `None` (and the arguments untouched) when no supervision flag is
-    /// present — the binaries then take their historical, zero-overhead
-    /// path.
-    pub fn split_args(args: &[String]) -> Result<(Option<Self>, Vec<String>), String> {
-        let mut opts = SupervisorOptions::default();
-        let mut seen = false;
-        let mut rest = Vec::new();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            let value = |name: &str, inline: Option<&str>, it: &mut std::slice::Iter<String>| {
-                match inline {
-                    Some(v) => Ok(v.to_string()),
-                    None => it
-                        .next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} needs a value")),
-                }
-            };
-            if a == "--resume" || a.starts_with("--resume=") {
-                let v = value("--resume", a.strip_prefix("--resume="), &mut it)?;
-                opts.resume = Some(PathBuf::from(v));
-                seen = true;
-            } else if a == "--cell-timeout" || a.starts_with("--cell-timeout=") {
-                let v = value("--cell-timeout", a.strip_prefix("--cell-timeout="), &mut it)?;
-                let secs: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--cell-timeout expects seconds, got {v:?}"))?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err(format!("--cell-timeout must be positive, got {v:?}"));
-                }
-                opts.cell_timeout = Some(Duration::from_secs_f64(secs));
-                seen = true;
-            } else if a == "--retries" || a.starts_with("--retries=") {
-                let v = value("--retries", a.strip_prefix("--retries="), &mut it)?;
-                opts.retries = v
-                    .parse()
-                    .map_err(|_| format!("--retries expects a non-negative integer, got {v:?}"))?;
-                seen = true;
-            } else {
-                rest.push(a.clone());
-            }
-        }
-        Ok((seen.then_some(opts), rest))
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Journaled result encoding
 
@@ -150,6 +114,65 @@ pub trait JournalItem: Sized {
     fn encode(&self, w: &mut SnapWriter);
     /// Reads one result back from the stream.
     fn decode(r: &mut SnapReader) -> Result<Self, SnapError>;
+    /// The event-horizon counters of the run, when the result carries
+    /// them; they feed the `--progress` line.
+    fn horizon(&self) -> Option<HorizonStats> {
+        None
+    }
+}
+
+impl JournalItem for u64 {
+    fn encode(&self, w: &mut SnapWriter) {
+        w.push(*self);
+    }
+    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
+        r.take()
+    }
+}
+
+impl JournalItem for f64 {
+    fn encode(&self, w: &mut SnapWriter) {
+        w.push_f64(*self);
+    }
+    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
+        r.take_f64()
+    }
+}
+
+impl<T: JournalItem> JournalItem for Vec<T> {
+    fn encode(&self, w: &mut SnapWriter) {
+        w.push(self.len() as u64);
+        for v in self {
+            v.encode(w);
+        }
+    }
+    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
+        let n = r.take()?;
+        (0..n).map(|_| T::decode(r)).collect()
+    }
+}
+
+impl<A: JournalItem, B: JournalItem> JournalItem for (A, B) {
+    fn encode(&self, w: &mut SnapWriter) {
+        self.0.encode(w);
+        self.1.encode(w);
+    }
+    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok((A::decode(r)?, B::decode(r)?))
+    }
+    fn horizon(&self) -> Option<HorizonStats> {
+        self.0.horizon().or_else(|| self.1.horizon())
+    }
+}
+
+/// A cell's telemetry is never journaled: it encodes to nothing and a
+/// resumed cell comes back without any, which is why telemetry is refused
+/// with a journal that already holds completed cells.
+impl JournalItem for CellArtifacts {
+    fn encode(&self, _: &mut SnapWriter) {}
+    fn decode(_: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(CellArtifacts::default())
+    }
 }
 
 impl JournalItem for crate::runner::SimPoint {
@@ -238,7 +261,7 @@ impl JournalItem for crate::runner::FaultSimPoint {
     }
 }
 
-impl JournalItem for tcw_window::engine::HorizonStats {
+impl JournalItem for HorizonStats {
     fn encode(&self, w: &mut SnapWriter) {
         w.push(self.jumps);
         w.push(self.slots_skipped);
@@ -246,7 +269,7 @@ impl JournalItem for tcw_window::engine::HorizonStats {
         w.push(self.batched_slots);
     }
     fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(tcw_window::engine::HorizonStats {
+        Ok(HorizonStats {
             jumps: r.take()?,
             slots_skipped: r.take()?,
             batched_runs: r.take()?,
@@ -269,6 +292,48 @@ impl JournalItem for crate::runner::ChurnSimPoint {
             churn: JournalItem::decode(r)?,
             horizon: JournalItem::decode(r)?,
         })
+    }
+    fn horizon(&self) -> Option<HorizonStats> {
+        Some(self.horizon)
+    }
+}
+
+impl JournalItem for crate::runner::AoiPoint {
+    fn encode(&self, w: &mut SnapWriter) {
+        w.push_f64(self.k);
+        w.push_f64(self.mean_age_tau);
+        w.push_f64(self.peak_age_tau);
+        w.push_f64(self.violation);
+        w.push(self.deliveries);
+        w.push(self.stations_observed);
+    }
+    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(crate::runner::AoiPoint {
+            k: r.take_f64()?,
+            mean_age_tau: r.take_f64()?,
+            peak_age_tau: r.take_f64()?,
+            violation: r.take_f64()?,
+            deliveries: r.take()?,
+            stations_observed: r.take()?,
+        })
+    }
+}
+
+impl JournalItem for crate::runner::AoiRun {
+    fn encode(&self, w: &mut SnapWriter) {
+        self.point.encode(w);
+        self.aoi.encode(w);
+        self.horizon.encode(w);
+    }
+    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(crate::runner::AoiRun {
+            point: JournalItem::decode(r)?,
+            aoi: JournalItem::decode(r)?,
+            horizon: JournalItem::decode(r)?,
+        })
+    }
+    fn horizon(&self) -> Option<HorizonStats> {
+        Some(self.horizon)
     }
 }
 
@@ -729,6 +794,14 @@ where
                             }
                             match attempt_cell(f.clone(), cell, opts.cell_timeout) {
                                 Ok(value) => {
+                                    if let (Some(p), Some(h)) = (progress, value.horizon()) {
+                                        p.note_horizon(
+                                            h.jumps,
+                                            h.slots_skipped,
+                                            h.batched_runs,
+                                            h.batched_slots,
+                                        );
+                                    }
                                     let mut sw = SnapWriter::new();
                                     value.encode(&mut sw);
                                     break CellReport::Done {
@@ -750,7 +823,7 @@ where
                                             )
                                         }
                                         AttemptFailure::Panic(msg) => {
-                                            format!("panicked: {msg}")
+                                            format!("{PANICKED}{msg}")
                                         }
                                     };
                                     if attempt >= opts.retries {
@@ -817,75 +890,116 @@ where
     })
 }
 
-/// Binary-side wrapper around [`run_supervised`]: opens the resume
-/// journal when `--resume` was given, runs the sweep, prints the
-/// supervisor summary, and on any quarantined cell reports each one via
-/// `describe(cell)` (parameters + replay seed) and **exits** with
-/// [`crate::diag::EXIT_FAILURE`] — final outputs are never written from a
-/// partial sweep; the journal keeps every completed cell for the next
-/// `--resume`. Journal staleness/corruption and I/O failures exit the
-/// same way.
-#[allow(clippy::too_many_arguments)]
-pub fn supervised_cells<T, F, S>(
-    tool: &str,
-    experiment: &str,
+/// Quarantine reason prefix of a cell whose last attempt panicked.
+const PANICKED: &str = "panicked: ";
+
+/// Runs a sweep binary's grid: cells `0..n` under supervision with the
+/// telemetry `cli` asks for, returning their results in grid order.
+///
+/// * `cell(i, observer, sink)` runs cell `i`, threading the observer
+///   through the engine and emitting metrics into the sink when one is
+///   given; it must be a pure function of `i`.
+/// * `describe(i)` names cell `i`: its trace/span header label (also
+///   used to report it if quarantined) and its metric labels.
+/// * `on_failure(i, message)` is called for every cell quarantined after
+///   a panic, with the panic message, to write its replay artifact; the
+///   returned artifact path is reported with its `--replay` command.
+///
+/// The journal (`--resume`) is opened under the experiment tag
+/// `cli.tool` and the grid `fingerprint`. Only cell results are
+/// journaled, so telemetry together with a journal that already holds
+/// completed cells is refused with [`crate::diag::EXIT_USAGE`] before any
+/// cell runs. The supervisor summary is printed when a journal is open
+/// or something was resumed, retried, timed out or quarantined. Any
+/// quarantined cell is reported and the process **exits** with
+/// [`crate::diag::EXIT_FAILURE`]: outputs are never written from a
+/// partial sweep, and the journal keeps every completed cell for the next
+/// `--resume`. Journal staleness/corruption and I/O failures, including
+/// writing the telemetry files, exit the same way.
+pub fn supervised_cells<T, F>(
+    cli: &Cli,
     n: usize,
-    jobs: usize,
-    sup: &SupervisorOptions,
-    show_progress: bool,
     fingerprint: u64,
-    describe: S,
-    f: F,
+    describe: impl Fn(usize) -> (String, Vec<(&'static str, String)>),
+    on_failure: impl Fn(usize, &str) -> Option<PathBuf>,
+    cell: F,
 ) -> Vec<T>
 where
     T: JournalItem + Send + 'static,
-    F: Fn(usize) -> T + Send + Sync + Clone + 'static,
-    S: Fn(usize) -> String,
+    F: Fn(usize, &mut dyn EngineObserver, Option<&mut dyn MetricSink>) -> T + Send + Sync + 'static,
 {
-    let mut journal = match &sup.resume {
-        Some(path) => match Journal::open(path, experiment, fingerprint) {
-            Ok(j) => Some(j),
-            Err(e) => {
-                crate::diag::error(tool, &e);
-                std::process::exit(crate::diag::EXIT_FAILURE);
-            }
-        },
-        None => None,
-    };
-    let progress = show_progress.then(|| Progress::new(n, jobs));
-    let outcome = match run_supervised(n, jobs, sup, journal.as_mut(), progress.as_ref(), f) {
-        Ok(o) => o,
-        Err(e) => {
-            crate::diag::error(tool, &e);
-            std::process::exit(crate::diag::EXIT_FAILURE);
+    let tool = cli.tool;
+    let mut journal = cli.sup.resume.as_ref().map(|path| {
+        Journal::open(path, tool, fingerprint).unwrap_or_else(|e| diag::fail(tool, &e))
+    });
+    let caps = cli.obs.capture();
+    if let Some(j) = journal.as_ref().filter(|j| caps.any() && !j.is_empty()) {
+        diag::usage(
+            tool,
+            &format!(
+                "--trace-events/--spans/--metrics need every cell to run, but the --resume \
+                 journal already holds {} completed cell(s)",
+                j.len()
+            ),
+        );
+    }
+    let names: Arc<Vec<_>> = Arc::new((0..n).map(describe).collect());
+    let run = {
+        let names = Arc::clone(&names);
+        let cell = Arc::new(cell);
+        move |i: usize| {
+            let (label, labels) = &names[i];
+            let labels: Vec<(&str, &str)> = labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
+            observe_engine_cell(caps, i, label, &labels, |obs, sink| cell(i, obs, sink))
         }
     };
+    let progress = cli.obs.progress.then(|| Progress::new(n, cli.jobs));
+    let outcome = run_supervised(
+        n,
+        cli.jobs,
+        &cli.sup,
+        journal.as_mut(),
+        progress.as_ref(),
+        run,
+    )
+    .unwrap_or_else(|e| diag::fail(tool, &e));
     if let Some(p) = &progress {
         p.finish();
     }
-    println!("{}", outcome.summary());
+    let eventful = outcome.resumed as u64 + outcome.retries + outcome.timeouts > 0;
+    if journal.is_some() || eventful || !outcome.quarantined.is_empty() {
+        println!("{}", outcome.summary());
+    }
     if !outcome.quarantined.is_empty() {
         for q in &outcome.quarantined {
             eprintln!(
                 "quarantined cell {} ({}) after {} attempt(s): {}",
-                q.cell,
-                describe(q.cell),
-                q.attempts,
-                q.reason
+                q.cell, names[q.cell].0, q.attempts, q.reason
             );
+            if let Some(path) = q
+                .reason
+                .strip_prefix(PANICKED)
+                .and_then(|m| on_failure(q.cell, m))
+            {
+                let path = path.display();
+                eprintln!("  replay artifact: {path}\n  reproduce: cargo run --release -p tcw-experiments --bin {tool} -- --replay {path}");
+            }
         }
-        let hint = if sup.resume.is_some() {
+        let hint = if journal.is_some() {
             "; completed cells are journaled, rerun with the same --resume to finish"
         } else {
             ""
         };
-        crate::diag::error(
+        diag::fail(
             tool,
             &format!("{} cell(s) quarantined{hint}", outcome.quarantined.len()),
         );
-        std::process::exit(crate::diag::EXIT_FAILURE);
     }
-    outcome.into_results()
+    let (values, artifacts): (Vec<T>, Vec<CellArtifacts>) =
+        outcome.into_results().into_iter().unzip();
+    write_observability(&cli.obs, &artifacts, SweepMeta { cells: n })
+        .unwrap_or_else(|e| diag::fail(tool, &e));
+    values
 }
 
 // ---------------------------------------------------------------------------
@@ -980,7 +1094,9 @@ mod tests {
 
     #[test]
     fn split_args_extracts_supervision_flags() {
-        let (opts, rest) = SupervisorOptions::split_args(&strs(&[
+        let parse =
+            |v: &[&str]| Cli::parse("t", &[crate::sweep::Flag::switch("--quick")], &strs(v));
+        let cli = parse(&[
             "--jobs",
             "4",
             "--resume",
@@ -989,22 +1105,33 @@ mod tests {
             "--retries",
             "0",
             "--quick",
-        ]))
+        ])
         .unwrap();
-        let opts = opts.unwrap();
+        let opts = &cli.sup;
         assert_eq!(opts.resume.as_deref(), Some(Path::new("j.ndjson")));
         assert_eq!(opts.cell_timeout, Some(Duration::from_secs_f64(1.5)));
         assert_eq!(opts.retries, 0);
-        assert_eq!(rest, strs(&["--jobs", "4", "--quick"]));
+        assert_eq!(cli.jobs, 4);
+        assert!(cli.has("--quick"));
 
-        let (none, rest) = SupervisorOptions::split_args(&strs(&["--jobs", "2"])).unwrap();
-        assert!(none.is_none());
-        assert_eq!(rest, strs(&["--jobs", "2"]));
+        let cli = parse(&["--jobs", "2"]).unwrap();
+        assert_eq!(cli.sup, SupervisorOptions::default());
 
-        assert!(SupervisorOptions::split_args(&strs(&["--resume"])).is_err());
-        assert!(SupervisorOptions::split_args(&strs(&["--cell-timeout", "0"])).is_err());
-        assert!(SupervisorOptions::split_args(&strs(&["--cell-timeout", "x"])).is_err());
-        assert!(SupervisorOptions::split_args(&strs(&["--retries", "-1"])).is_err());
+        for bad in [
+            &["--resume"][..],
+            &["--cell-timeout", "0"],
+            &["--cell-timeout", "x"],
+            &["--cell-timeout", "NaN"],
+            &["--cell-timeout", "1e300"],
+            &["--cell-timeout=inf"],
+            &["--retries", "-1"],
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert!(
+                err.starts_with(bad[0].split('=').next().unwrap()),
+                "{bad:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Parallel sweep execution.
+//! Parallel sweep execution and the sweep binaries' command line.
 //!
 //! Every experiment binary sweeps a grid of *cells* — fully specified,
 //! mutually independent simulation points (panel × policy × deadline ×
@@ -21,8 +21,12 @@
 //!   so CSV/TXT outputs are byte-identical to the serial run. The
 //!   `sweep_determinism` integration test pins this property.
 //!
-//! Binaries expose the pool width as `--jobs N` (parsed by
-//! [`jobs_from_args`]; default: available parallelism).
+//! The sweep binaries themselves run their grids through
+//! [`crate::supervise::supervised_cells`], which schedules cells the
+//! same way under supervision. [`Cli`] parses their command line: the
+//! shared flags (`--jobs N`, default: available parallelism; the
+//! supervision and telemetry flags) plus the [`Flag`]s each binary
+//! declares. Any other argument is a usage error.
 
 use crate::replay::panic_message;
 use crate::runner::{simulate_churn, ChurnSimPoint, PolicyKind, SimSettings};
@@ -111,103 +115,42 @@ pub fn run_cells(cells: &[Cell], jobs: usize) -> Vec<ChurnSimPoint> {
 /// worker that hit it keeps draining the remaining cells, and once the
 /// sweep ends the caller's thread panics with the **lowest failing cell
 /// index** and the original panic message. A panicking cell can
-/// therefore never wedge or silently kill the pool (callers that must
-/// survive cell panics still wrap `f`'s body in `catch_unwind`).
+/// therefore never wedge or silently kill the pool.
 pub fn run_parallel<I, T, F>(items: &[I], jobs: usize, f: F) -> Vec<T>
 where
     I: Sync,
     T: Send,
     F: Fn(usize, &I) -> T + Sync,
 {
-    run_parallel_with_progress(items, jobs, None, f)
-}
-
-/// [`run_parallel`] with optional live progress: when `progress` is given,
-/// workers report per-cell start/done transitions into it and a monitor
-/// thread re-renders the stderr progress line (with ETA and stall
-/// detection) while the sweep runs.
-///
-/// Progress is pure observation on the side of the computation — results
-/// and their order are exactly those of [`run_parallel`], and nothing
-/// derived from the wall clock can reach `f` or its results.
-pub fn run_parallel_with_progress<I, T, F>(
-    items: &[I],
-    jobs: usize,
-    progress: Option<&tcw_obs::Progress>,
-    f: F,
-) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> T + Sync,
-{
+    let reraise = |i: usize, r: std::thread::Result<T>| {
+        r.unwrap_or_else(|e| panic!("sweep cell {i} panicked: {}", panic_message(e)))
+    };
     let jobs = jobs.max(1).min(items.len().max(1));
     if jobs == 1 {
         return items
             .iter()
             .enumerate()
-            .map(|(i, it)| {
-                if let Some(p) = progress {
-                    p.cell_started(0, i);
-                }
-                let r = catch_unwind(AssertUnwindSafe(|| f(i, it)))
-                    .unwrap_or_else(|e| panic!("sweep cell {i} panicked: {}", panic_message(e)));
-                if let Some(p) = progress {
-                    p.cell_done(0);
-                    p.tick();
-                }
-                r
-            })
+            .map(|(i, it)| reraise(i, catch_unwind(AssertUnwindSafe(|| f(i, it)))))
             .collect();
     }
     let next = AtomicUsize::new(0);
-    // Live worker count, decremented on worker exit even through a panic,
-    // so the monitor thread can never outlive its workers.
-    let alive = AtomicUsize::new(jobs);
-    struct Leaving<'a>(&'a AtomicUsize);
-    impl Drop for Leaving<'_> {
-        fn drop(&mut self) {
-            self.0.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
     let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<T>)>();
     std::thread::scope(|s| {
-        for w in 0..jobs {
+        for _ in 0..jobs {
             let tx = tx.clone();
             let next = &next;
-            let alive = &alive;
             let f = &f;
-            s.spawn(move || {
-                let _leaving = Leaving(alive);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    if let Some(p) = progress {
-                        p.cell_started(w, i);
-                    }
-                    // Contain a cell panic inside the worker: the pool
-                    // keeps draining the grid and the failure is re-raised
-                    // with its cell index after reassembly.
-                    let r = catch_unwind(AssertUnwindSafe(|| f(i, &items[i])));
-                    if let Some(p) = progress {
-                        p.cell_done(w);
-                    }
-                    if tx.send((i, r)).is_err() {
-                        break;
-                    }
+            s.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= items.len() {
+                    break;
                 }
-            });
-        }
-        if let Some(p) = progress {
-            // Monitor thread: re-render until every cell has completed
-            // (or every worker has exited, should one panic mid-cell).
-            let alive = &alive;
-            s.spawn(move || {
-                while p.completed() < items.len() && alive.load(Ordering::Relaxed) > 0 {
-                    p.tick();
-                    std::thread::sleep(std::time::Duration::from_millis(100));
+                // Contain a cell panic inside the worker: the pool keeps
+                // draining the grid and the failure is re-raised with its
+                // cell index after reassembly.
+                let r = catch_unwind(AssertUnwindSafe(|| f(i, &items[i])));
+                if tx.send((i, r)).is_err() {
+                    break;
                 }
             });
         }
@@ -221,8 +164,10 @@ where
     out.into_iter()
         .enumerate()
         .map(|(i, o)| {
-            o.expect("every cell index was claimed by exactly one worker")
-                .unwrap_or_else(|e| panic!("sweep cell {i} panicked: {}", panic_message(e)))
+            reraise(
+                i,
+                o.expect("every cell index was claimed by exactly one worker"),
+            )
         })
         .collect()
 }
@@ -234,61 +179,210 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// The parser behind [`jobs_from_args`]; the error is the usage message.
-fn parse_jobs(args: &[String]) -> Result<usize, String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let v = if a == "--jobs" {
-            it.next().ok_or("--jobs needs a value")?
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            v
-        } else {
-            continue;
-        };
-        return match v.parse() {
-            Ok(n) if n > 0 => Ok(n),
-            _ => Err(format!("--jobs expects a positive integer, got {v:?}")),
-        };
+/// One argument a sweep binary accepts besides the shared flags: a
+/// `--flag` or a bare word, with the operands that follow it.
+#[derive(Debug)]
+pub struct Flag {
+    name: String,
+    min: usize,
+    max: usize,
+    alone: bool,
+}
+
+impl Flag {
+    /// A flag without operands.
+    pub fn switch(name: impl Into<String>) -> Flag {
+        Flag::operands(name, 0, 0)
     }
-    Ok(default_jobs())
-}
 
-/// Parses `--jobs N` (or `--jobs=N`) out of a binary's raw argument
-/// list, defaulting to [`default_jobs`]. `--jobs 1` forces the serial
-/// path. A missing value, or one that is not a positive integer, is a
-/// usage error: it is reported through [`crate::diag::error`] as
-/// `tool: message` and the process exits with
-/// [`crate::diag::EXIT_USAGE`].
-pub fn jobs_from_args(tool: &str, args: &[String]) -> usize {
-    parse_jobs(args).unwrap_or_else(|e| {
-        crate::diag::error(tool, &e);
-        std::process::exit(crate::diag::EXIT_USAGE)
-    })
-}
+    /// A flag with exactly one operand (`--flag V` or `--flag=V`).
+    pub fn value(name: impl Into<String>) -> Flag {
+        Flag::operands(name, 1, 1)
+    }
 
-/// Like [`parse_jobs`], but for a binary whose only own flag is `--jobs`:
-/// any other argument is an error instead of being ignored.
-fn parse_only_jobs(args: &[String]) -> Result<usize, String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            it.next();
-        } else if !a.starts_with("--jobs=") {
-            return Err(format!("unknown argument {a:?}"));
+    /// A flag with `min` required operands and up to `max - min`
+    /// optional ones; an optional operand is never a `--flag`.
+    pub fn operands(name: impl Into<String>, min: usize, max: usize) -> Flag {
+        Flag {
+            name: name.into(),
+            min,
+            max,
+            alone: false,
         }
     }
-    parse_jobs(args)
+
+    /// Marks the flag as a mode of its own that takes no other argument
+    /// (`--replay PATH`).
+    pub fn alone(self) -> Flag {
+        Flag {
+            alone: true,
+            ..self
+        }
+    }
 }
 
-/// [`jobs_from_args`] for binaries that take no other flag of their own:
-/// call it on what is left after the shared flags are split off. An
-/// unknown or misspelled argument is a usage error (`tool: message`,
-/// exit [`crate::diag::EXIT_USAGE`]) instead of being silently ignored.
-pub fn only_jobs_from_args(tool: &str, args: &[String]) -> usize {
-    parse_only_jobs(args).unwrap_or_else(|e| {
-        crate::diag::error(tool, &e);
-        std::process::exit(crate::diag::EXIT_USAGE)
-    })
+/// Shared flags and their operand counts.
+const SHARED: [(&str, usize); 8] = [
+    ("--jobs", 1),
+    ("--resume", 1),
+    ("--cell-timeout", 1),
+    ("--retries", 1),
+    ("--trace-events", 1),
+    ("--spans", 1),
+    ("--metrics", 1),
+    ("--progress", 0),
+];
+
+/// A sweep binary's parsed command line: the shared worker, supervision
+/// and telemetry flags, plus the binary's own [`Flag`]s in the order
+/// given.
+#[derive(Debug)]
+pub struct Cli {
+    /// Tool name: prefixes every diagnostic and tags the resume journal.
+    pub tool: &'static str,
+    /// `--jobs N` (default: [`default_jobs`]).
+    pub jobs: usize,
+    /// `--resume PATH`, `--cell-timeout SECS`, `--retries N`.
+    pub sup: crate::SupervisorOptions,
+    /// `--trace-events PATH`, `--spans PATH`, `--metrics PATH`,
+    /// `--progress`.
+    pub obs: crate::ObsConfig,
+    own: Vec<(String, Vec<String>)>,
+}
+
+impl Cli {
+    /// Parses `args` against the shared flags and `own`. The error is the
+    /// usage message: an unknown argument, a missing operand, or a
+    /// malformed shared value.
+    pub fn parse(tool: &'static str, own: &[Flag], args: &[String]) -> Result<Cli, String> {
+        let mut cli = Cli {
+            tool,
+            jobs: 0, // unset; a parsed `--jobs` is positive
+            sup: crate::SupervisorOptions::default(),
+            obs: crate::ObsConfig::default(),
+            own: Vec::new(),
+        };
+        // First token of every parsed argument, and which one is a mode.
+        let mut starts: Vec<&String> = Vec::new();
+        let mut mode: Option<usize> = None;
+        let mut it = args.iter().peekable();
+        while let Some(a) = it.next() {
+            let (name, inline) = match a.split_once('=') {
+                Some((n, v)) if n.starts_with("--") => (n, Some(v.to_string())),
+                _ => (a.as_str(), None),
+            };
+            let unknown = || format!("unknown argument {a:?}");
+            let (min, max, flag) = match SHARED.iter().find(|(n, _)| *n == name) {
+                Some(&(_, n)) => (n, n, None),
+                None => {
+                    let f = own.iter().find(|f| f.name == name).ok_or_else(unknown)?;
+                    (f.min, f.max, Some(f))
+                }
+            };
+            if inline.is_some() && max == 0 {
+                return Err(unknown());
+            }
+            let mut ops: Vec<String> = inline.into_iter().collect();
+            while ops.len() < max {
+                match it.peek() {
+                    Some(v) if ops.len() < min || !v.starts_with("--") => {
+                        ops.push(it.next().expect("peeked").clone());
+                    }
+                    _ if ops.len() < min && min == 1 => {
+                        return Err(format!("{name} needs a value"))
+                    }
+                    _ if ops.len() < min => return Err(format!("{name} needs {min} values")),
+                    _ => break,
+                }
+            }
+            match flag {
+                Some(f) => {
+                    if f.alone {
+                        mode = Some(starts.len());
+                    }
+                    cli.own.push((f.name.clone(), ops));
+                }
+                None => cli.set_shared(name, ops.first().map(String::as_str))?,
+            }
+            starts.push(a);
+        }
+        if let Some(mode) = mode {
+            if let Some(other) = (0..starts.len()).find(|&i| i != mode) {
+                return Err(format!("unknown argument {:?}", starts[other]));
+            }
+        }
+        if cli.jobs == 0 {
+            // Only now: the host query reads cgroup files on Linux.
+            cli.jobs = default_jobs();
+        }
+        Ok(cli)
+    }
+
+    fn set_shared(&mut self, name: &str, v: Option<&str>) -> Result<(), String> {
+        let v = v.unwrap_or_default();
+        let path = || Some(std::path::PathBuf::from(v));
+        match name {
+            "--jobs" => {
+                self.jobs = match v.parse() {
+                    Ok(n) if n > 0 => n,
+                    _ => return Err(format!("--jobs expects a positive integer, got {v:?}")),
+                }
+            }
+            "--resume" => self.sup.resume = path(),
+            "--cell-timeout" => {
+                let secs: f64 = v
+                    .parse()
+                    .map_err(|_| format!("--cell-timeout expects seconds, got {v:?}"))?;
+                if secs.is_nan() || secs <= 0.0 {
+                    return Err(format!("--cell-timeout must be positive, got {v:?}"));
+                }
+                let limit = std::time::Duration::try_from_secs_f64(secs)
+                    .map_err(|_| format!("--cell-timeout is out of range, got {v:?}"))?;
+                self.sup.cell_timeout = Some(limit);
+            }
+            "--retries" => {
+                self.sup.retries = v
+                    .parse()
+                    .map_err(|_| format!("--retries expects a non-negative integer, got {v:?}"))?
+            }
+            "--trace-events" => self.obs.trace_events = path(),
+            "--spans" => self.obs.spans = path(),
+            "--metrics" => self.obs.metrics = path(),
+            _ => self.obs.progress = true,
+        }
+        Ok(())
+    }
+
+    /// Parses the process arguments; a usage error is reported as
+    /// `tool: message` and exits with [`crate::diag::EXIT_USAGE`].
+    pub fn from_env(tool: &'static str, own: &[Flag]) -> Cli {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Cli::parse(tool, own, &args).unwrap_or_else(|e| crate::diag::usage(tool, &e))
+    }
+
+    /// Whether the binary's own flag `name` was given.
+    pub fn has(&self, name: &str) -> bool {
+        self.operands(name).is_some()
+    }
+
+    /// The operands of the binary's own flag `name`, when given.
+    pub fn operands(&self, name: &str) -> Option<&[String]> {
+        self.own
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, ops)| ops.as_slice())
+    }
+
+    /// The first operand of `name` parsed as `V`; a value that does not
+    /// parse is a usage error (exit [`crate::diag::EXIT_USAGE`]).
+    pub fn value<V: std::str::FromStr>(&self, name: &str) -> Option<V> {
+        let v = self.operands(name)?.first()?;
+        Some(
+            v.parse().unwrap_or_else(|_| {
+                crate::diag::usage(self.tool, &format!("bad {name} value {v:?}"))
+            }),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -316,39 +410,91 @@ mod tests {
         assert!(run_parallel(&items, 8, |_, x| *x).is_empty());
     }
 
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn jobs_flag_parsing() {
-        let args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        assert_eq!(parse_jobs(&args(&["--quick", "--jobs", "3"])), Ok(3));
-        assert_eq!(parse_jobs(&args(&["--jobs=7"])), Ok(7));
-        assert_eq!(parse_jobs(&args(&["--quick"])), Ok(default_jobs()));
+        let quick = [Flag::switch("--quick")];
+        let jobs = |v: &[&str]| Cli::parse("t", &quick, &args(v)).map(|c| c.jobs);
+        assert_eq!(jobs(&["--quick", "--jobs", "3"]), Ok(3));
+        assert_eq!(jobs(&["--jobs=7"]), Ok(7));
+        assert_eq!(jobs(&["--quick"]), Ok(default_jobs()));
         for bad in [
             &["--jobs", "x"][..],
             &["--jobs"],
             &["--jobs=0"],
             &["--jobs=-2"],
+            &["--jobs", "--quick"],
         ] {
-            let err = parse_jobs(&args(bad)).unwrap_err();
-            assert!(err.starts_with("--jobs"), "{bad:?}: {err}");
-            let err = parse_only_jobs(&args(bad)).unwrap_err();
+            let err = jobs(bad).unwrap_err();
             assert!(err.starts_with("--jobs"), "{bad:?}: {err}");
         }
     }
 
     #[test]
     fn only_jobs_rejects_every_other_argument() {
-        let args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        assert_eq!(parse_only_jobs(&args(&["--jobs", "3"])), Ok(3));
-        assert_eq!(parse_only_jobs(&args(&["--jobs=7"])), Ok(7));
-        assert_eq!(parse_only_jobs(&args(&[])), Ok(default_jobs()));
+        let parse = |v: &[&str]| Cli::parse("t", &[], &args(v)).map(|c| c.jobs);
+        assert_eq!(parse(&["--jobs", "3"]), Ok(3));
+        assert_eq!(parse(&["--jobs=7"]), Ok(7));
+        assert_eq!(parse(&[]), Ok(default_jobs()));
         for (bad, arg) in [
             (&["--jbos", "2", "--resmue", "x"][..], "--jbos"),
             (&["--jobs", "2", "--quick"], "--quick"),
             (&["extra"], "extra"),
             (&["--jobs=2", "-j"], "-j"),
+            (&["--progress=1"], "--progress=1"),
         ] {
-            let err = parse_only_jobs(&args(bad)).unwrap_err();
+            let err = parse(bad).unwrap_err();
             assert_eq!(err, format!("unknown argument {arg:?}"), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn own_flags_take_their_operands_and_modes_stand_alone() {
+        let own = [
+            Flag::value("--configs"),
+            Flag::operands("--inject", 1, 2).alone(),
+            Flag::value("--replay").alone(),
+            Flag::switch("rho50_m25"),
+        ];
+        let cli = Cli::parse(
+            "t",
+            &own,
+            &args(&["--configs=24", "rho50_m25", "--progress"]),
+        )
+        .unwrap();
+        assert_eq!(cli.operands("--configs"), Some(&args(&["24"])[..]));
+        assert!(cli.has("rho50_m25") && cli.obs.progress && !cli.has("--replay"));
+        let cli = Cli::parse("t", &own, &args(&["--inject", "stale_clock", "p.json"])).unwrap();
+        assert_eq!(
+            cli.operands("--inject"),
+            Some(&args(&["stale_clock", "p.json"])[..])
+        );
+        let cli = Cli::parse("t", &own, &args(&["--inject", "stale_clock"])).unwrap();
+        assert_eq!(cli.operands("--inject").map(<[String]>::len), Some(1));
+        for (bad, err) in [
+            (&["--replay"][..], "--replay needs a value"),
+            (
+                &["--replay", "a.json", "--jobs", "2"],
+                "unknown argument \"--jobs\"",
+            ),
+            (
+                &["--progress", "--replay", "a.json"],
+                "unknown argument \"--progress\"",
+            ),
+            (
+                &["--inject", "x", "--configs", "2"],
+                "unknown argument \"--configs\"",
+            ),
+            (&["--quick"], "unknown argument \"--quick\""),
+        ] {
+            assert_eq!(
+                Cli::parse("t", &own, &args(bad)).unwrap_err(),
+                err,
+                "{bad:?}"
+            );
         }
     }
 

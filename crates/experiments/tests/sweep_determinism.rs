@@ -8,13 +8,16 @@
 //! event tracing and metrics capture must not perturb the simulated
 //! results (observers are passive — they never touch an RNG stream),
 //! and the exported artifacts themselves must be byte-identical for any
-//! `--jobs N` (per-cell telemetry is reassembled in cell order).
+//! `--jobs N` (per-cell telemetry is reassembled in cell order). The
+//! sweep binaries' executor, `supervised_cells`, keeps both contracts
+//! under any supervision options and with a fresh resume journal.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 use tcw_experiments::plot::write_csv;
-use tcw_experiments::runner::{ChurnSimPoint, PolicyKind, SimSettings};
+use tcw_experiments::runner::{simulate_churn_observed, ChurnSimPoint, PolicyKind, SimSettings};
 use tcw_experiments::sweep::{run_cells, run_parallel, Cell};
-use tcw_experiments::{observed_cell, Capture, CellArtifacts, PANELS};
+use tcw_experiments::{observe_engine_cell, supervised_cells, Capture, CellArtifacts, Cli, PANELS};
 use tcw_mac::{ChurnPlan, FaultPlan};
 use tcw_obs::Registry;
 
@@ -48,6 +51,16 @@ fn grid() -> Vec<Cell> {
         }
     }
     cells
+}
+
+fn run_observed(
+    c: &Cell,
+    obs: &mut dyn tcw_window::trace::EngineObserver,
+    sink: Option<&mut dyn tcw_sim::stats::MetricSink>,
+) -> ChurnSimPoint {
+    simulate_churn_observed(
+        c.panel, c.policy, c.k_tau, c.settings, c.seed, c.plan, c.churn, obs, sink,
+    )
 }
 
 /// Renders the sweep exactly like the experiment binaries render their
@@ -114,10 +127,9 @@ fn instrumented_run(jobs: usize) -> (Vec<ChurnSimPoint>, String, String, String,
         let label = format!("cell {i}");
         let seed_s = format!("{}", c.seed);
         let labels = [("cell", label.as_str()), ("seed", seed_s.as_str())];
-        observed_cell(
-            caps, i, &label, &labels, c.panel, c.policy, c.k_tau, c.settings, c.seed, c.plan,
-            c.churn,
-        )
+        observe_engine_cell(caps, i, &label, &labels, |obs, sink| {
+            run_observed(c, obs, sink)
+        })
     });
     let (points, artifacts): (Vec<_>, Vec<_>) = out.into_iter().unzip();
     let mut trace = String::new();
@@ -207,4 +219,105 @@ fn parallel_sweep_points_are_bitwise_identical_to_serial() {
         assert_eq!(s.churn.losses, p.churn.losses, "cell {i}");
         assert_eq!(s.churn.crashes, p.churn.crashes, "cell {i}");
     }
+}
+
+/// Runs the grid through the sweep binaries' executor with span and
+/// Prometheus capture on, under the extra command-line `args` (and a
+/// fresh resume journal when `journal`). Returns the rendered rows and
+/// the bytes of both telemetry files.
+fn executor_run(tag: &str, args: &[&str], journal: bool) -> (Vec<Vec<String>>, Vec<u8>, Vec<u8>) {
+    let dir = std::env::temp_dir().join(format!("tcw_executor_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = |name: &str| dir.join(name).display().to_string();
+    let mut argv = vec!["--spans".to_string(), path("s.spans.ndjson")];
+    argv.extend(["--metrics".to_string(), path("m.prom")]);
+    if journal {
+        argv.extend(["--resume".to_string(), path("sweep.journal")]);
+    }
+    argv.extend(args.iter().map(|a| a.to_string()));
+    let cli = Cli::parse("sweep_determinism", &[], &argv).expect("valid arguments");
+    let cells = grid();
+    let labeled = cells.clone();
+    let points = supervised_cells(
+        &cli,
+        cells.len(),
+        42,
+        |i| {
+            let labels = vec![
+                ("cell", format!("{i}")),
+                ("seed", format!("{}", labeled[i].seed)),
+            ];
+            (format!("cell {i}"), labels)
+        },
+        |_, _| None,
+        move |i, obs, sink| run_observed(&cells[i], obs, sink),
+    );
+    let spans = std::fs::read(dir.join("s.spans.ndjson")).expect("spans written");
+    let prom = std::fs::read(dir.join("m.prom")).expect("metrics written");
+    assert_eq!(dir.join("sweep.journal").exists(), journal);
+    let _ = std::fs::remove_dir_all(&dir);
+    (render_rows(&points), spans, prom)
+}
+
+#[test]
+fn supervised_executor_is_independent_of_jobs_supervision_and_fresh_journal() {
+    let plain = render_rows(&run_cells(&grid(), 1));
+    let base = executor_run("jobs1", &["--jobs", "1"], false);
+    assert_eq!(
+        base.0, plain,
+        "telemetry or supervision perturbed the results"
+    );
+    assert!(!base.1.is_empty() && !base.2.is_empty());
+    let spans = String::from_utf8(base.1.clone()).unwrap();
+    tcw_obs::lint::lint_spans(&spans).expect("spans lint clean");
+    let prom = String::from_utf8(base.2.clone()).unwrap();
+    tcw_obs::lint::lint_prom(&prom).expect("exposition lints clean");
+    for (tag, args, journal) in [
+        ("jobs4", &["--jobs", "4"][..], false),
+        (
+            "retry",
+            &["--jobs", "4", "--retries", "1", "--cell-timeout", "600"],
+            false,
+        ),
+        ("journal", &["--jobs", "4"], true),
+    ] {
+        let run = executor_run(tag, args, journal);
+        assert_eq!(run.0, base.0, "{tag}: results differ");
+        assert!(run.1 == base.1, "{tag}: span stream differs");
+        assert!(run.2 == base.2, "{tag}: Prometheus exposition differs");
+    }
+}
+
+/// Telemetry is captured per run and never journaled, so a resume journal
+/// that already holds completed cells cannot be combined with any capture
+/// flag: the sweep refuses before running a cell (usage error, exit 1).
+#[test]
+fn resumed_journal_with_capture_is_refused() {
+    let dir = std::env::temp_dir().join(format!("tcw_executor_refuse_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let journal = dir.join("sweep.journal");
+    let fingerprint = tcw_sim::snap::checksum(&[tcw_experiments::chaos::BASE_SEED, 2]);
+    let mut j = tcw_experiments::Journal::open(&journal, "chaos", fingerprint).unwrap();
+    j.record(0, &[1, 2, 3]).unwrap();
+    for flag in ["--trace-events", "--spans", "--metrics"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_chaos"))
+            .current_dir(&dir)
+            .args(["--configs", "2", "--resume", "sweep.journal", flag, "t.out"])
+            .output()
+            .expect("spawn chaos");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(
+            stderr.contains("already holds 1 completed cell"),
+            "{flag}: {stderr}"
+        );
+        assert!(
+            !Path::new(&dir.join("t.out")).exists(),
+            "{flag} wrote telemetry"
+        );
+        assert!(!dir.join("results").exists(), "{flag} ran the sweep");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,7 +3,7 @@
 
 use tcw_experiments::replay::{execute, FailureRecord, ARTIFACT_VERSION};
 use tcw_experiments::runner::{
-    simulate_churn, simulate_churn_with_detector, simulate_panel_faulty, PolicyKind, SimSettings,
+    simulate_churn, simulate_churn_with_detector, PolicyKind, SimSettings,
 };
 use tcw_experiments::Panel;
 use tcw_mac::{ChurnPlan, FaultPlan};
@@ -28,15 +28,19 @@ fn crashy() -> ChurnPlan {
     ChurnPlan::crash_restart(0.002, 40, 100)
 }
 
+/// A churn-free run equals the fault replay runner's (`replay::execute`)
+/// run of the same seed: the divergence detector it attaches is a passive
+/// observer, and `ChurnPlan::none()` touches no RNG stream.
 #[test]
 fn none_churn_matches_faulty_runner_exactly() {
-    let base = simulate_panel_faulty(
+    let (base, _) = simulate_churn_with_detector(
         panel(),
         PolicyKind::Controlled,
         100.0,
         quick(),
         7,
         FaultPlan::none(),
+        ChurnPlan::none(),
     );
     let churny = simulate_churn(
         panel(),

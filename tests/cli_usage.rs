@@ -1,6 +1,7 @@
-//! Command-line contract of the sweep binaries: a malformed `--jobs` is a
-//! usage error — reported as `tool: message`, exit code 1 — and never a
-//! panic.
+//! Command-line contract of the sweep binaries: a malformed value of a
+//! shared flag or an unknown argument is a usage error — reported as
+//! `tool: message`, exit code 1 — and never a panic or a silently
+//! ignored argument.
 
 use std::process::Command;
 
@@ -41,33 +42,69 @@ fn malformed_jobs_is_a_usage_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `churn` and `robustness` take no flag of their own besides `--jobs`
-/// (and a leading `--replay PATH`): after the shared telemetry and
-/// supervision flags are split off, a misspelled or unknown argument is a
-/// usage error instead of a silently ignored one that runs the full sweep.
+/// The binary's own flags, each as a complete argument list.
+fn own_flags(tool: &str) -> Vec<Vec<&'static str>> {
+    let flags: &[&[&str]] = match tool {
+        "adaptive" => &[
+            &["--replay", "a.json"],
+            &["--record", "step", "aimd", "0", "a.json"],
+            &["--episode"],
+        ],
+        "aoi" => &[&["--obs-cell"]],
+        "chaos" => &[
+            &["--configs", "2"],
+            &["--inject-panic", "0"],
+            &["--inject-slow", "1"],
+            &["--inject", "reorder_pair"],
+            &["--inject", "reorder_pair", "a.json"],
+            &["--replay", "a.json"],
+        ],
+        "churn" | "robustness" => &[&["--replay", "a.json"]],
+        "fig7" => &[&["--quick"], &["--obs-cell"], &["rho50_m25", "rho75_m100"]],
+        _ => &[],
+    };
+    flags.iter().map(|f| f.to_vec()).collect()
+}
+
+fn run_in(dir: &std::path::Path, exe: &str, args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(exe)
+        .current_dir(dir)
+        .args(args)
+        .output()
+        .expect("spawn sweep binary");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// Every sweep binary parses its command line in one place: a misspelled
+/// or unknown argument is a usage error instead of a silently ignored one
+/// that runs the full sweep, and a mode flag (`--replay PATH`) takes no
+/// other argument.
 #[test]
 fn unknown_arguments_are_usage_errors() {
     let dir = std::env::temp_dir().join(format!("tcw_cli_unknown_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    let tools = [
-        ("churn", env!("CARGO_BIN_EXE_churn")),
-        ("robustness", env!("CARGO_BIN_EXE_robustness")),
-    ];
-    for (tool, exe) in tools {
-        for (args, bad) in [
-            (&["--jbos", "2", "--resmue", "x"][..], "--jbos"),
-            (&["--jobs", "2", "--resmue", "x"], "--resmue"),
-            (&["--jobs=2", "extra"], "extra"),
-            (&["--progress", "--quick"], "--quick"),
-            (&["--replay", "artifact.json", "--jobs", "2"], "--jobs"),
-        ] {
-            let out = Command::new(exe)
-                .current_dir(&dir)
-                .args(args)
-                .output()
-                .expect("spawn sweep binary");
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(out.status.code(), Some(1), "{tool} {args:?}: {stderr}");
+    for (tool, exe) in SWEEP_BINARIES {
+        let mut cases = vec![
+            (vec!["--jbos", "2", "--quick"], "--jbos"),
+            (vec!["--bogus"], "--bogus"),
+            (vec!["--jbos", "2", "--resmue", "x"], "--jbos"),
+            (vec!["--jobs", "2", "--resmue", "x"], "--resmue"),
+            (vec!["--jobs=2", "extra"], "extra"),
+            (vec!["--progress", "--quikc"], "--quikc"),
+            (vec!["--progress=1"], "--progress=1"),
+        ];
+        if own_flags(tool).iter().all(|f| f[0] != "--quick") {
+            cases.push((vec!["--progress", "--quick"], "--quick"));
+        }
+        if own_flags(tool).iter().any(|f| f[0] == "--replay") {
+            cases.push((vec!["--replay", "artifact.json", "--jobs", "2"], "--jobs"));
+        }
+        for (args, bad) in cases {
+            let (code, stderr) = run_in(&dir, exe, &args);
+            assert_eq!(code, Some(1), "{tool} {args:?}: {stderr}");
             assert!(!stderr.contains("panicked"), "{tool} {args:?}: {stderr}");
             assert!(
                 stderr.starts_with(&format!("{tool}: unknown argument \"{bad}\"")),
@@ -76,6 +113,62 @@ fn unknown_arguments_are_usage_errors() {
             assert!(
                 !dir.join("results").exists(),
                 "{tool} {args:?} ran the sweep"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The shared flags and each binary's own flags are accepted: parsing
+/// gets past all of them to the malformed `--jobs x` that follows.
+#[test]
+fn own_and_shared_flags_are_accepted() {
+    let dir = std::env::temp_dir().join(format!("tcw_cli_accepted_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let shared = [
+        "--resume",
+        "j.journal",
+        "--cell-timeout=5",
+        "--retries",
+        "1",
+        "--trace-events",
+        "t.ndjson",
+        "--spans",
+        "s.spans.ndjson",
+        "--metrics=m.prom",
+        "--progress",
+    ];
+    for (tool, exe) in SWEEP_BINARIES {
+        let mut lists = own_flags(tool);
+        lists.push(shared.to_vec());
+        for mut args in lists {
+            args.extend(["--jobs", "x"]);
+            let (code, stderr) = run_in(&dir, exe, &args);
+            assert_eq!(code, Some(1), "{tool} {args:?}: {stderr}");
+            assert!(
+                stderr.starts_with(&format!("{tool}: --jobs expects")),
+                "{tool} {args:?}: {stderr}"
+            );
+        }
+    }
+    assert!(!dir.join("results").exists(), "a binary ran its sweep");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `--cell-timeout` too large for a `Duration` is a usage error, not a
+/// panic in the conversion.
+#[test]
+fn out_of_range_cell_timeout_is_a_usage_error() {
+    let dir = std::env::temp_dir().join(format!("tcw_cli_timeout_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    for (tool, exe) in SWEEP_BINARIES {
+        for args in [&["--cell-timeout", "1e300"][..], &["--cell-timeout=inf"]] {
+            let (code, stderr) = run_in(&dir, exe, args);
+            assert_eq!(code, Some(1), "{tool} {args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{tool} {args:?}: {stderr}");
+            assert!(
+                stderr.starts_with(&format!("{tool}: --cell-timeout")),
+                "{tool} {args:?}: {stderr}"
             );
         }
     }

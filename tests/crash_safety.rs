@@ -195,8 +195,11 @@ fn corrupted_or_stale_journal_is_rejected() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Supervision flags compose with neither the observability exports nor
-/// bare inject flags: both are usage errors (exit 1).
+/// Supervision composes with the observability exports, but telemetry
+/// is never journaled: a `--resume` journal that already holds completed
+/// cells cannot be combined with a capture flag, and a malformed inject
+/// flag is refused too. Both are usage errors (exit 1), before any cell
+/// runs.
 #[test]
 fn incompatible_flag_combinations_are_usage_errors() {
     let dir = fresh_dir("usage");
@@ -207,13 +210,36 @@ fn incompatible_flag_combinations_are_usage_errors() {
             "2",
             "--retries",
             "1",
+            "--resume",
+            "sweep.journal",
             "--trace-events",
             "t.ndjson",
         ],
     );
-    assert_eq!(code(&out), 1, "{}", stderr(&out));
+    assert_eq!(code(&out), 0, "fresh journal + telemetry: {}", stderr(&out));
+    assert!(dir.join("t.ndjson").exists());
+    fs::remove_dir_all(dir.join("results")).expect("sweep wrote results");
 
-    let out = chaos_in(&dir, &["--configs", "2", "--inject-panic", "0"]);
+    let out = chaos_in(
+        &dir,
+        &[
+            "--configs",
+            "2",
+            "--resume",
+            "sweep.journal",
+            "--trace-events",
+            "t2.ndjson",
+        ],
+    );
+    assert_eq!(code(&out), 1, "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("2 completed cell(s)"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(!dir.join("t2.ndjson").exists() && !dir.join("results").exists());
+
+    let out = chaos_in(&dir, &["--configs", "2", "--inject-panic", "x"]);
     assert_eq!(code(&out), 1, "{}", stderr(&out));
     let _ = fs::remove_dir_all(&dir);
 }

@@ -4,7 +4,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use tcw_experiments::replay::FailureRecord;
 use tcw_experiments::runner::{
-    simulate_panel, simulate_panel_faulty, simulate_with_detector, PolicyKind, SimSettings,
+    simulate_churn, simulate_churn_with_detector, simulate_panel, ChurnSimPoint, DetectorReport,
+    PolicyKind, SimSettings,
 };
 use tcw_experiments::Panel;
 use tcw_mac::{ChurnPlan, FaultPlan};
@@ -25,17 +26,38 @@ fn panel() -> Panel {
     }
 }
 
+/// A controlled run at K = 100 tau with a fault plan and no churn.
+fn faulty(seed: u64, plan: FaultPlan) -> ChurnSimPoint {
+    let k = 100.0;
+    simulate_churn(
+        panel(),
+        PolicyKind::Controlled,
+        k,
+        quick(),
+        seed,
+        plan,
+        ChurnPlan::none(),
+    )
+}
+
+/// [`faulty`] with listening station 0 tracked by the divergence detector.
+fn with_detector(seed: u64, plan: FaultPlan) -> (ChurnSimPoint, DetectorReport) {
+    let (k, churn) = (100.0, ChurnPlan::none());
+    simulate_churn_with_detector(
+        panel(),
+        PolicyKind::Controlled,
+        k,
+        quick(),
+        seed,
+        plan,
+        churn,
+    )
+}
+
 #[test]
 fn none_plan_matches_plain_runner_exactly() {
     let base = simulate_panel(panel(), PolicyKind::Controlled, 100.0, quick(), 7);
-    let faulty = simulate_panel_faulty(
-        panel(),
-        PolicyKind::Controlled,
-        100.0,
-        quick(),
-        7,
-        FaultPlan::none(),
-    );
+    let faulty = faulty(7, FaultPlan::none());
     assert_eq!(format!("{base:?}"), format!("{:?}", faulty.point));
     assert_eq!(faulty.faults.corrupted_slots, 0);
     assert_eq!(faulty.faults.erased_slots, 0);
@@ -45,30 +67,9 @@ fn none_plan_matches_plain_runner_exactly() {
 
 #[test]
 fn faults_degrade_loss_gracefully() {
-    let clean = simulate_panel_faulty(
-        panel(),
-        PolicyKind::Controlled,
-        100.0,
-        quick(),
-        7,
-        FaultPlan::none(),
-    );
-    let light = simulate_panel_faulty(
-        panel(),
-        PolicyKind::Controlled,
-        100.0,
-        quick(),
-        7,
-        FaultPlan::uniform(0.02),
-    );
-    let heavy = simulate_panel_faulty(
-        panel(),
-        PolicyKind::Controlled,
-        100.0,
-        quick(),
-        7,
-        FaultPlan::uniform(0.10),
-    );
+    let clean = faulty(7, FaultPlan::none());
+    let light = faulty(7, FaultPlan::uniform(0.02));
+    let heavy = faulty(7, FaultPlan::uniform(0.10));
     assert!(light.faults.corrupted_slots > 0);
     assert!(heavy.faults.corrupted_slots > light.faults.corrupted_slots);
     // Degradation is graceful: loss rises with the fault rate but the
@@ -87,7 +88,7 @@ fn detector_run_is_deterministic_and_replayable() {
     let mut plan = FaultPlan::uniform(0.02);
     plan.deafness = 0.005;
     plan.deaf_slots = 4;
-    let run = || simulate_with_detector(panel(), PolicyKind::Controlled, 100.0, quick(), 11, plan);
+    let run = || with_detector(11, plan);
     let (_, det_a) = run();
     let (_, det_b) = run();
     assert!(det_a.divergences > 0, "deafness produced no divergence");
@@ -103,8 +104,7 @@ fn artifact_roundtrip_reproduces_the_failure() {
     let mut plan = FaultPlan::uniform(0.02);
     plan.deafness = 0.005;
     plan.deaf_slots = 4;
-    let (_, det) =
-        simulate_with_detector(panel(), PolicyKind::Controlled, 100.0, quick(), 11, plan);
+    let (_, det) = with_detector(11, plan);
     let first = det.first_divergence.expect("deafness must diverge");
     let rec = FailureRecord {
         seed: 11,
@@ -123,13 +123,14 @@ fn artifact_roundtrip_reproduces_the_failure() {
     let loaded = FailureRecord::load(&path).expect("load artifact");
     assert_eq!(loaded, rec);
     // Replay from the loaded record alone.
-    let (_, replayed) = simulate_with_detector(
+    let (_, replayed) = simulate_churn_with_detector(
         loaded.panel,
         loaded.policy,
         loaded.k_tau,
         loaded.settings,
         loaded.seed,
         loaded.plan,
+        loaded.churn,
     );
     assert_eq!(
         replayed.first_divergence.as_deref(),
@@ -148,8 +149,6 @@ fn panics_are_catchable_for_the_harness() {
         collision_to_idle: 0.9,
         ..FaultPlan::none()
     };
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        simulate_panel_faulty(panel(), PolicyKind::Controlled, 100.0, quick(), 7, bad)
-    }));
+    let result = catch_unwind(AssertUnwindSafe(|| faulty(7, bad)));
     assert!(result.is_err(), "oversubscribed plan must be rejected");
 }
