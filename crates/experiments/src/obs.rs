@@ -5,12 +5,21 @@
 //!
 //! Each sweep cell produces its telemetry into cell-local buffers (an
 //! NDJSON fragment from an [`EventTracer`], a lifecycle-span fragment
-//! from a [`SpanTracer`], a labeled [`Registry`]);
-//! [`write_observability`] then concatenates/merges them **in cell
-//! order**, so exported artifacts are byte-identical for any `--jobs N`.
-//! Only the stderr progress line (enabled by `--progress`) is wall-clock
-//! dependent, and it never reaches an artifact.
+//! from a [`SpanTracer`], a labeled [`Registry`]). The sweep executor
+//! streams them to disk through one in-order sink as cells finish: a cell's
+//! fragments are appended, and its registry merged, as soon as every
+//! earlier cell's have been, so the exported artifacts are byte-identical
+//! for any `--jobs N` while memory holds only the cells that finished
+//! ahead of an earlier one. Outputs are created as temp files before the
+//! first cell runs and renamed into place only when the whole sweep
+//! succeeded. [`write_observability`] pushes an already-ordered slice
+//! through the same sink. Only the stderr progress line (enabled by
+//! `--progress`) is wall-clock dependent, and it never reaches an
+//! artifact.
 
+use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use tcw_obs::{EventTracer, Registry, SpanTracer};
@@ -151,67 +160,193 @@ pub struct SweepMeta {
     pub cells: usize,
 }
 
-/// Assembles per-cell telemetry into the files `cfg` requests: traces are
-/// concatenated and registries merged **in cell order**, making both
-/// artifacts byte-identical for any worker count. The merged registry
-/// additionally carries the executor's own `tcw_sweep_cells` gauge.
-///
-/// Metrics format is chosen by extension: `.prom` writes the Prometheus
+/// Assembles already-ordered per-cell telemetry into the files `cfg`
+/// requests, through the same in-order sink the sweep executor streams
+/// into: traces are concatenated and registries merged in slice order.
+/// The merged registry additionally carries the executor's own
+/// `tcw_sweep_cells` gauge; a `.prom` metrics path selects the Prometheus
 /// text exposition format, anything else the JSON export.
 pub fn write_observability(
     cfg: &ObsConfig,
     artifacts: &[CellArtifacts],
     meta: SweepMeta,
 ) -> Result<(), String> {
-    if let Some(path) = &cfg.trace_events {
-        let mut text = String::new();
-        for a in artifacts {
-            if let Some(t) = &a.trace {
-                text.push_str(t);
-            }
-        }
-        write_creating_dirs(path, &text)?;
+    let mut sink = ObsSink::create(cfg)?;
+    for a in artifacts {
+        sink.write_cell(a)?;
     }
-    if let Some(path) = &cfg.spans {
-        let mut text = String::new();
-        for a in artifacts {
-            if let Some(t) = &a.spans {
-                text.push_str(t);
-            }
-        }
-        write_creating_dirs(path, &text)?;
-    }
-    if let Some(path) = &cfg.metrics {
-        let mut merged = Registry::new();
-        for a in artifacts {
-            if let Some(r) = &a.registry {
-                merged.absorb(r);
-            }
-        }
-        use tcw_sim::stats::MetricSink as _;
-        merged.set_labels(&[]);
-        merged.gauge(
-            "tcw_sweep_cells",
-            "cells in the sweep grid",
-            meta.cells as f64,
-        );
-        let text = if path.extension().is_some_and(|e| e == "prom") {
-            merged.to_prometheus()
-        } else {
-            merged.to_json()
-        };
-        write_creating_dirs(path, &text)?;
-    }
-    Ok(())
+    sink.finish(meta)
 }
 
-fn write_creating_dirs(path: &Path, text: &str) -> Result<(), String> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+/// The in-order telemetry sink behind `--trace-events`, `--spans` and
+/// `--metrics`.
+///
+/// [`ObsSink::create`] opens every requested output up front as a temp
+/// file next to its target, so a bad path fails before any cell runs.
+/// [`ObsSink::commit`] takes cells in any order and writes each cell's
+/// fragments as soon as every earlier cell's are written, merging its
+/// registry into the running one in the same order; the files are thus
+/// byte-identical for any worker count while only out-of-order cells stay
+/// in memory. [`ObsSink::finish`] appends the `tcw_sweep_cells` gauge,
+/// writes the metrics and renames every temp file into place. Dropping an
+/// unfinished sink deletes its temp files, so a failed sweep leaves every
+/// target untouched.
+#[derive(Debug)]
+pub(crate) struct ObsSink {
+    trace: Option<Output>,
+    spans: Option<Output>,
+    metrics: Option<(Output, Registry)>,
+    /// Committed cells waiting for an earlier cell.
+    pending: BTreeMap<usize, CellArtifacts>,
+    /// The next cell to write.
+    next: usize,
+}
+
+impl ObsSink {
+    /// Opens the outputs `cfg` requests; with none requested nothing is
+    /// opened or allocated.
+    pub(crate) fn create(cfg: &ObsConfig) -> Result<Self, String> {
+        let open = |path: &Option<PathBuf>| path.as_deref().map(Output::create).transpose();
+        Ok(ObsSink {
+            trace: open(&cfg.trace_events)?,
+            spans: open(&cfg.spans)?,
+            metrics: open(&cfg.metrics)?.map(|out| (out, Registry::new())),
+            pending: BTreeMap::new(),
+            next: 0,
+        })
+    }
+
+    /// Accepts cell `cell`'s telemetry and writes every cell now complete
+    /// in order.
+    pub(crate) fn commit(&mut self, cell: usize, artifacts: CellArtifacts) -> Result<(), String> {
+        if self.trace.is_none() && self.spans.is_none() && self.metrics.is_none() {
+            return Ok(());
+        }
+        self.pending.insert(cell, artifacts);
+        while let Some(a) = self.pending.remove(&self.next) {
+            self.write_cell(&a)?;
+            self.next += 1;
+        }
+        Ok(())
+    }
+
+    /// Writes the next cell in order.
+    fn write_cell(&mut self, a: &CellArtifacts) -> Result<(), String> {
+        if let (Some(out), Some(text)) = (&mut self.trace, &a.trace) {
+            out.write(text)?;
+        }
+        if let (Some(out), Some(text)) = (&mut self.spans, &a.spans) {
+            out.write(text)?;
+        }
+        if let (Some((_, merged)), Some(r)) = (&mut self.metrics, &a.registry) {
+            merged.absorb(r);
+        }
+        Ok(())
+    }
+
+    /// Writes the merged metrics (`.prom` selects the Prometheus text
+    /// exposition format, anything else the JSON export) and renames every
+    /// output into place.
+    pub(crate) fn finish(mut self, meta: SweepMeta) -> Result<(), String> {
+        if let Some(cell) = self.pending.keys().next() {
+            return Err(format!(
+                "telemetry of cell {cell} was never written: cell {} never completed",
+                self.next
+            ));
+        }
+        let metrics = match self.metrics.take() {
+            Some((mut out, mut merged)) => {
+                use tcw_sim::stats::MetricSink as _;
+                merged.set_labels(&[]);
+                merged.gauge(
+                    "tcw_sweep_cells",
+                    "cells in the sweep grid",
+                    meta.cells as f64,
+                );
+                let text = if out.target.extension().is_some_and(|e| e == "prom") {
+                    merged.to_prometheus()
+                } else {
+                    merged.to_json()
+                };
+                out.write(&text)?;
+                Some(out)
+            }
+            None => None,
+        };
+        for out in [self.trace.take(), self.spans.take(), metrics] {
+            out.map_or(Ok(()), Output::persist)?;
+        }
+        Ok(())
+    }
+}
+
+/// One requested telemetry file, written to `tmp` and renamed onto
+/// `target` by [`Output::persist`]; dropped before that, it deletes
+/// `tmp`.
+#[derive(Debug)]
+struct Output {
+    target: PathBuf,
+    tmp: PathBuf,
+    file: File,
+    persisted: bool,
+}
+
+impl Output {
+    /// Creates `TARGET.<pid>.tmp`, creating missing parent directories.
+    fn create(target: &Path) -> Result<Self, String> {
+        let err = |p: &Path, e: &dyn std::fmt::Display| format!("{}: {e}", p.display());
+        // Renaming onto a directory fails only after the sweep, and onto a
+        // device or FIFO would replace it: refuse both before any cell runs.
+        match std::fs::metadata(target) {
+            Ok(m) if m.is_dir() => return Err(err(target, &"is a directory")),
+            Ok(m) if !m.is_file() => return Err(err(target, &"not a regular file")),
+            _ => {}
+        }
+        let name = target
+            .file_name()
+            .ok_or_else(|| err(target, &"not a file path"))?;
+        if let Some(dir) = target.parent() {
+            if !dir.as_os_str().is_empty() {
+                std::fs::create_dir_all(dir).map_err(|e| err(dir, &e))?;
+            }
+        }
+        let mut tmp_name = name.to_os_string();
+        tmp_name.push(format!(".{}.tmp", std::process::id()));
+        let tmp = target.with_file_name(tmp_name);
+        let file = File::create(&tmp).map_err(|e| err(&tmp, &e))?;
+        Ok(Output {
+            target: target.to_path_buf(),
+            tmp,
+            file,
+            persisted: false,
+        })
+    }
+
+    fn write(&mut self, text: &str) -> Result<(), String> {
+        self.file
+            .write_all(text.as_bytes())
+            .map_err(|e| format!("{}: {e}", self.tmp.display()))
+    }
+
+    fn persist(mut self) -> Result<(), String> {
+        std::fs::rename(&self.tmp, &self.target).map_err(|e| {
+            format!(
+                "cannot rename {} onto {}: {e}",
+                self.tmp.display(),
+                self.target.display()
+            )
+        })?;
+        self.persisted = true;
+        Ok(())
+    }
+}
+
+impl Drop for Output {
+    fn drop(&mut self) {
+        if !self.persisted {
+            let _ = std::fs::remove_file(&self.tmp);
         }
     }
-    std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 #[cfg(test)]
@@ -337,6 +472,91 @@ mod tests {
         let prom = reg.to_prometheus();
         assert!(tcw_obs::lint::lint_prom(&prom).is_ok());
         assert!(prom.contains("tcw_aoi_deliveries_total"), "{prom}");
+    }
+
+    fn sink_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("tcw_obs_sink_{name}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn cell(index: usize) -> CellArtifacts {
+        CellArtifacts {
+            spans: Some(format!("cell {index}\n")),
+            ..CellArtifacts::default()
+        }
+    }
+
+    #[test]
+    fn sink_writes_cells_in_order_and_renames_on_finish() {
+        let dir = sink_dir("order");
+        let target = dir.join("nested").join("s.spans.ndjson");
+        let cfg = ObsConfig {
+            spans: Some(target.clone()),
+            ..ObsConfig::default()
+        };
+        let mut sink = ObsSink::create(&cfg).unwrap();
+        for i in [2, 0, 3, 1] {
+            sink.commit(i, cell(i)).unwrap();
+        }
+        assert!(!target.exists(), "target written before the sweep finished");
+        sink.finish(SweepMeta { cells: 4 }).unwrap();
+        let text = std::fs::read_to_string(&target).unwrap();
+        assert_eq!(text, "cell 0\ncell 1\ncell 2\ncell 3\n");
+        let files = std::fs::read_dir(target.parent().unwrap()).unwrap().count();
+        assert_eq!(files, 1, "a temp file survived");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn unfinished_sink_leaves_existing_targets_untouched() {
+        let dir = sink_dir("unfinished");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (spans, metrics) = (dir.join("s.spans.ndjson"), dir.join("m.prom"));
+        std::fs::write(&spans, "previous run\n").unwrap();
+        let cfg = ObsConfig {
+            spans: Some(spans.clone()),
+            metrics: Some(metrics.clone()),
+            ..ObsConfig::default()
+        };
+        let mut sink = ObsSink::create(&cfg).unwrap();
+        sink.commit(0, cell(0)).unwrap();
+        drop(sink);
+        assert_eq!(std::fs::read_to_string(&spans).unwrap(), "previous run\n");
+        assert!(!metrics.exists());
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            1,
+            "a temp file survived"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sink_refuses_targets_it_could_not_replace() {
+        let dir = sink_dir("refuse");
+        std::fs::create_dir_all(&dir).unwrap();
+        let cfg = ObsConfig {
+            trace_events: Some(dir.join("t.ndjson")),
+            spans: Some(dir.clone()),
+            ..ObsConfig::default()
+        };
+        let err = ObsSink::create(&cfg).unwrap_err();
+        assert!(err.ends_with("is a directory"), "{err}");
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            0,
+            "a temp file survived"
+        );
+        if cfg!(unix) {
+            let cfg = ObsConfig {
+                metrics: Some(PathBuf::from("/dev/null")),
+                ..ObsConfig::default()
+            };
+            let err = ObsSink::create(&cfg).unwrap_err();
+            assert!(err.ends_with("not a regular file"), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   **quarantined** (reported with its index and label, the binary's
 //!   failure hook writes its replay artifact) while the rest of the sweep
 //!   completes, and the binary then exits with
-//!   [`crate::diag::EXIT_FAILURE`] without writing outputs.
+//!   [`crate::diag::EXIT_FAILURE`] without writing outputs (telemetry temp
+//!   files are deleted).
 //! * **Journal** — completed cells are appended to a per-line-checksummed
 //!   NDJSON journal, rewritten through a temp file and `rename` so the
 //!   file on disk is always a consistent prefix of the sweep. Reopening
@@ -24,11 +25,14 @@
 //! * **Observability** — each cell runs under
 //!   [`crate::obs::observe_engine_cell`], so `--trace-events`, `--spans`
 //!   and `--metrics` compose with supervision and with a fresh journal.
-//!   Only the cell's result is journaled; its telemetry stays in memory,
-//!   so telemetry with a journal that already holds completed cells is a
-//!   usage error. Retry/timeout/quarantine/resume-skip events feed the
-//!   [`tcw_obs::Progress`] supervisor counters (rendered in the
-//!   `--progress` line) and are totalled in [`SweepOutcome`].
+//!   The coordinator streams each cell's telemetry to temp files in cell
+//!   order as cells complete, and renames them into place when the sweep
+//!   finishes without quarantine. Only the cell's result is journaled, not
+//!   its telemetry, so telemetry with a journal that already holds
+//!   completed cells is a usage error. Retry/timeout/quarantine/
+//!   resume-skip events feed the [`tcw_obs::Progress`] supervisor
+//!   counters (rendered in the `--progress` line) and are totalled in
+//!   [`SweepOutcome`].
 //!
 //! Because every cell is a pure function of its index, a resumed sweep
 //! reassembles results in cell order exactly as an uninterrupted one
@@ -48,7 +52,7 @@
 //! as every replay artifact, with an explicit whole-stream checksum.
 
 use crate::diag;
-use crate::obs::{observe_engine_cell, write_observability, CellArtifacts, SweepMeta};
+use crate::obs::{observe_engine_cell, CellArtifacts, ObsSink, SweepMeta};
 use crate::replay::{
     load_artifact, panic_message, parse_flat, ArtifactReader, ArtifactWriter, ARTIFACT_VERSION,
 };
@@ -729,9 +733,30 @@ pub fn run_supervised<T, F>(
     n: usize,
     jobs: usize,
     opts: &SupervisorOptions,
+    journal: Option<&mut Journal>,
+    progress: Option<&Progress>,
+    f: F,
+) -> Result<SweepOutcome<T>, String>
+where
+    T: JournalItem + Send + 'static,
+    F: Fn(usize) -> T + Send + Sync + Clone + 'static,
+{
+    execute(n, jobs, opts, journal, progress, f, |_, _| Ok(()))
+}
+
+/// The executor behind [`run_supervised`]: additionally hands every cell
+/// the coordinator receives as done to `commit`, on the coordinator
+/// thread, in completion order, right after its journal entry. An
+/// abandoned timed-out attempt never reaches `commit`; its late result
+/// goes to a dropped channel (see [`attempt_cell`]).
+fn execute<T, F>(
+    n: usize,
+    jobs: usize,
+    opts: &SupervisorOptions,
     mut journal: Option<&mut Journal>,
     progress: Option<&Progress>,
     f: F,
+    mut commit: impl FnMut(usize, &mut T) -> Result<(), String>,
 ) -> Result<SweepOutcome<T>, String>
 where
     T: JournalItem + Send + 'static,
@@ -863,10 +888,15 @@ where
             drop(tx);
             for report in rx {
                 match report {
-                    CellReport::Done { cell, value, words } => {
+                    CellReport::Done {
+                        cell,
+                        mut value,
+                        words,
+                    } => {
                         if let Some(j) = journal.as_deref_mut() {
                             j.record(cell, &words)?;
                         }
+                        commit(cell, &mut value)?;
                         results[cell] = Some(value);
                     }
                     CellReport::Quarantined(q) => {
@@ -909,13 +939,17 @@ const PANICKED: &str = "panicked: ";
 /// `cli.tool` and the grid `fingerprint`. Only cell results are
 /// journaled, so telemetry together with a journal that already holds
 /// completed cells is refused with [`crate::diag::EXIT_USAGE`] before any
-/// cell runs. The supervisor summary is printed when a journal is open
-/// or something was resumed, retried, timed out or quarantined. Any
-/// quarantined cell is reported and the process **exits** with
-/// [`crate::diag::EXIT_FAILURE`]: outputs are never written from a
-/// partial sweep, and the journal keeps every completed cell for the next
-/// `--resume`. Journal staleness/corruption and I/O failures, including
-/// writing the telemetry files, exit the same way.
+/// cell runs. The telemetry files are then created as temp files next to
+/// their targets, so an unwritable path exits with
+/// [`crate::diag::EXIT_FAILURE`] before any cell runs; as cells complete,
+/// their telemetry is appended in cell order. The supervisor summary is
+/// printed when a journal is open or something was resumed, retried,
+/// timed out or quarantined. Any quarantined cell is reported and the
+/// process **exits** with [`crate::diag::EXIT_FAILURE`]: the telemetry
+/// temp files are deleted and no target is written or touched, and the
+/// journal keeps every completed cell for the next `--resume`. Journal
+/// staleness/corruption and I/O failures exit the same way; only a sweep
+/// that completes renames its telemetry into place.
 pub fn supervised_cells<T, F>(
     cli: &Cli,
     n: usize,
@@ -953,16 +987,29 @@ where
             observe_engine_cell(caps, i, label, &labels, |obs, sink| cell(i, obs, sink))
         }
     };
+    // Telemetry streams straight to disk, in cell order, as cells finish.
+    let mut sink = ObsSink::create(&cli.obs).unwrap_or_else(|e| diag::fail(tool, &e));
     let progress = cli.obs.progress.then(|| Progress::new(n, cli.jobs));
-    let outcome = run_supervised(
+    let outcome = execute(
         n,
         cli.jobs,
         &cli.sup,
         journal.as_mut(),
         progress.as_ref(),
         run,
-    )
-    .unwrap_or_else(|e| diag::fail(tool, &e));
+        |cell, (_, artifacts): &mut (T, CellArtifacts)| {
+            sink.commit(cell, std::mem::take(artifacts))
+        },
+    );
+    // `diag::fail` exits without unwinding: drop the sink first so its
+    // temp files are deleted and no target is touched.
+    let outcome = match outcome {
+        Ok(outcome) => outcome,
+        Err(e) => {
+            drop(sink);
+            diag::fail(tool, &e)
+        }
+    };
     if let Some(p) = &progress {
         p.finish();
     }
@@ -971,6 +1018,7 @@ where
         println!("{}", outcome.summary());
     }
     if !outcome.quarantined.is_empty() {
+        drop(sink);
         for q in &outcome.quarantined {
             eprintln!(
                 "quarantined cell {} ({}) after {} attempt(s): {}",
@@ -995,11 +1043,9 @@ where
             &format!("{} cell(s) quarantined{hint}", outcome.quarantined.len()),
         );
     }
-    let (values, artifacts): (Vec<T>, Vec<CellArtifacts>) =
-        outcome.into_results().into_iter().unzip();
-    write_observability(&cli.obs, &artifacts, SweepMeta { cells: n })
+    sink.finish(SweepMeta { cells: n })
         .unwrap_or_else(|e| diag::fail(tool, &e));
-    values
+    outcome.into_results().into_iter().map(|(v, _)| v).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1303,6 +1349,170 @@ mod tests {
         assert_eq!(ran.load(Ordering::Relaxed), 1);
         assert_eq!(out.into_results(), vec![V(0), V(7), V(14)]);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A scratch directory holding one sweep's telemetry files.
+    struct Outputs(PathBuf);
+
+    impl Outputs {
+        fn new(name: &str) -> Self {
+            let dir = tmp_path(name);
+            let _ = std::fs::remove_dir_all(&dir);
+            Outputs(dir)
+        }
+
+        /// `--spans`, `--trace-events` and `--metrics` into this directory.
+        fn args(&self) -> Vec<String> {
+            let p = |f: &str| self.0.join(f).display().to_string();
+            let (s, e, m) = (p("s.spans.ndjson"), p("e.ndjson"), p("m.prom"));
+            strs(&["--spans", &s, "--trace-events", &e, "--metrics", &m])
+        }
+
+        fn read(&self) -> [String; 3] {
+            ["s.spans.ndjson", "e.ndjson", "m.prom"]
+                .map(|f| std::fs::read_to_string(self.0.join(f)).expect("telemetry written"))
+        }
+
+        /// Every file in the directory, so stray temp files show up.
+        fn listing(&self) -> Vec<String> {
+            let mut names: Vec<String> = std::fs::read_dir(&self.0)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        }
+    }
+
+    impl Drop for Outputs {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// Cell headers (`"cell":N`) of an NDJSON stream, in file order.
+    fn headers(text: &str) -> Vec<usize> {
+        text.lines()
+            .filter(|l| l.contains("\"ev\":\"cell\""))
+            .map(|l| {
+                let at = l.find("\"cell\":").unwrap() + 7;
+                let digits: String = l[at..].chars().take_while(char::is_ascii_digit).collect();
+                digits.parse().unwrap()
+            })
+            .collect()
+    }
+
+    /// Polls `ready` until it holds; panics after 30 s.
+    fn wait_until(ready: impl Fn() -> bool) {
+        let start = std::time::Instant::now();
+        while !ready() {
+            assert!(start.elapsed() < Duration::from_secs(30), "wait timed out");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// One test cell of an `n`-cell grid: a span that opens and closes, an
+    /// event-stream line and a counter, all derived from the index. With
+    /// `hold`, cell 0 waits until every other cell has finished.
+    fn telemetry_cell(
+        n: usize,
+        hold: bool,
+        finished: Arc<std::sync::Mutex<Vec<usize>>>,
+    ) -> impl Fn(usize, &mut dyn EngineObserver, Option<&mut dyn MetricSink>) -> V + Send + Sync
+    {
+        use tcw_mac::{Message, MessageId, StationId};
+        use tcw_sim::time::Time;
+        move |i, obs, sink| {
+            if hold && i == 0 {
+                wait_until(|| finished.lock().expect("no cell panics").len() == n - 1);
+            }
+            let m = Message::new(MessageId(i as u64), StationId(1), Time::from_ticks(0));
+            obs.on_arrival(&m, Time::from_ticks(i as u64));
+            obs.on_sender_discard(&m, Time::from_ticks(2 * i as u64 + 1));
+            if let Some(sink) = sink {
+                sink.counter("tcw_test_cells_total", "test cells", i as u64);
+            }
+            finished.lock().expect("no cell panics").push(i);
+            V(i as u64)
+        }
+    }
+
+    #[test]
+    fn telemetry_commits_in_grid_order_and_matches_jobs_1() {
+        let run = |jobs: &str, hold: bool| {
+            let out = Outputs::new(&format!("ordered_{jobs}"));
+            let mut args = out.args();
+            args.extend(strs(&["--jobs", jobs]));
+            let cli = Cli::parse("t", &[], &args).unwrap();
+            let finished = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let cell = telemetry_cell(8, hold, Arc::clone(&finished));
+            let values = supervised_cells(
+                &cli,
+                8,
+                1,
+                |i| (format!("cell {i}"), vec![("cell", i.to_string())]),
+                |_, _| None,
+                cell,
+            );
+            assert_eq!(values, (0..8).map(V).collect::<Vec<_>>());
+            assert_eq!(out.listing(), ["e.ndjson", "m.prom", "s.spans.ndjson"]);
+            let order = finished.lock().unwrap().clone();
+            (out.read(), order)
+        };
+        let (serial, _) = run("1", false);
+        // At --jobs 4, cell 0 finishes after every later cell.
+        let (parallel, order) = run("4", true);
+        assert_eq!(order.last(), Some(&0), "{order:?}");
+        for text in &serial[..2] {
+            assert_eq!(headers(text), (0..8).collect::<Vec<_>>());
+        }
+        assert!(serial[2].contains("tcw_test_cells_total{cell=\"7\"} 7"));
+        assert_eq!(parallel, serial, "telemetry bytes depend on --jobs");
+    }
+
+    #[test]
+    fn abandoned_timed_out_attempt_never_writes() {
+        let out = Outputs::new("abandoned");
+        let mut args = out.args();
+        args.extend(strs(&["--jobs", "2", "--cell-timeout", "0.2"]));
+        args.extend(strs(&["--retries", "1"]));
+        let cli = Cli::parse("t", &[], &args).unwrap();
+        // Cell 1's first attempt is held past the watchdog until the sweep
+        // is over, then finishes on its abandoned thread.
+        let attempts = Arc::new(AtomicU32::new(0));
+        let release = Arc::new(AtomicU32::new(0));
+        let late = Arc::new(AtomicU32::new(0));
+        let (seen, go, done) = (attempts.clone(), release.clone(), late.clone());
+        let cell = telemetry_cell(4, false, Arc::default());
+        let values = supervised_cells(
+            &cli,
+            4,
+            2,
+            |i| (format!("cell {i}"), vec![]),
+            |_, _| None,
+            move |i, obs, sink| {
+                if i == 1 && seen.fetch_add(1, Ordering::SeqCst) == 0 {
+                    wait_until(|| go.load(Ordering::SeqCst) == 1);
+                    let v = cell(i, obs, sink);
+                    done.store(1, Ordering::SeqCst);
+                    return v;
+                }
+                cell(i, obs, sink)
+            },
+        );
+        assert_eq!(values, (0..4).map(V).collect::<Vec<_>>());
+        assert_eq!(attempts.load(Ordering::SeqCst), 2, "cell 1 was retried");
+        let committed = out.read();
+        release.store(1, Ordering::SeqCst);
+        wait_until(|| late.load(Ordering::SeqCst) == 1);
+        // Give the abandoned thread time to hand its result to the dropped
+        // channel.
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(out.read(), committed, "a late attempt changed the outputs");
+        for text in &committed[..2] {
+            assert_eq!(headers(text), [0, 1, 2, 3], "{text}");
+        }
+        assert_eq!(out.listing(), ["e.ndjson", "m.prom", "s.spans.ndjson"]);
     }
 
     #[test]

@@ -12,12 +12,18 @@
 //! stream; a wiring regression that silently drops them would otherwise
 //! still lint clean).
 //!
+//! Files are read one line at a time, so a multi-gigabyte trace lints in
+//! memory bounded by its longest line (plus, for span streams, the spans
+//! open in one cell).
+//!
 //! Exit codes: `0` all files valid, `1` usage error, `2` validation
 //! failure, missing required family, or unreadable file.
 
+use std::fs::File;
+use std::io::BufReader;
 use std::process::ExitCode;
 
-use tcw_obs::lint::{lint_events, lint_prom_families, lint_spans};
+use tcw_obs::lint::{lint_events_from, lint_prom_families_from, lint_spans_from};
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("obs_lint: {msg}");
@@ -49,12 +55,12 @@ fn main() -> ExitCode {
         return ExitCode::from(1);
     }
     for path in &files {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
+        let reader = match File::open(path) {
+            Ok(f) => BufReader::new(f),
             Err(e) => return fail(&format!("{path}: {e}")),
         };
         if path.ends_with(".spans.ndjson") || path.ends_with(".spans.jsonl") {
-            match lint_spans(&text) {
+            match lint_spans_from(reader) {
                 Ok(s) => println!(
                     "obs_lint: {path}: ok ({} lines, {} cells, {} spans)",
                     s.lines, s.cells, s.spans
@@ -62,7 +68,7 @@ fn main() -> ExitCode {
                 Err(e) => return fail(&format!("{path}: {e}")),
             }
         } else if path.ends_with(".ndjson") || path.ends_with(".jsonl") {
-            match lint_events(&text) {
+            match lint_events_from(reader) {
                 Ok(s) => println!(
                     "obs_lint: {path}: ok ({} lines, {} cells, {} events)",
                     s.lines, s.cells, s.events
@@ -70,7 +76,7 @@ fn main() -> ExitCode {
                 Err(e) => return fail(&format!("{path}: {e}")),
             }
         } else if path.ends_with(".prom") {
-            match lint_prom_families(&text) {
+            match lint_prom_families_from(reader) {
                 Ok((s, families)) => {
                     for name in &required {
                         if !families.contains(name) {

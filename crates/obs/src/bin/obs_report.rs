@@ -15,9 +15,11 @@
 //! Exit codes: `0` report printed, `1` usage error, `2` unreadable or
 //! malformed file.
 
+use std::fs::File;
+use std::io::BufReader;
 use std::process::ExitCode;
 
-use tcw_obs::report::{parse_spans, render_report};
+use tcw_obs::report::{parse_spans_from, render_report};
 
 fn usage() -> ExitCode {
     eprintln!("usage: obs_report [--deadline TICKS] [--top N] FILE...");
@@ -54,14 +56,14 @@ fn main() -> ExitCode {
         return usage();
     }
     for path in &files {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
+        let reader = match File::open(path) {
+            Ok(f) => BufReader::new(f),
             Err(e) => {
                 eprintln!("obs_report: {path}: {e}");
                 return ExitCode::from(2);
             }
         };
-        let cells = match parse_spans(&text) {
+        let cells = match parse_spans_from(reader) {
             Ok(c) => c,
             Err(e) => {
                 eprintln!("obs_report: {path}: {e}");

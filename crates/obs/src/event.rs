@@ -7,14 +7,14 @@
 //! perturb simulated results. The line format is documented at the crate
 //! root ([`crate`]); [`SCHEMA_VERSION`] stamps every line.
 
-use std::fmt::Write as _;
-
 use tcw_mac::{ChurnEvent, Message, SlotOutcome};
 use tcw_sim::rng::Rng;
 use tcw_sim::time::{Dur, Time};
 use tcw_window::interval::Interval;
 use tcw_window::timeline::Timeline;
 use tcw_window::trace::EngineObserver;
+
+use crate::ndjson::LineWriter;
 
 /// Version stamped into every NDJSON line as `"schema_version"`.
 pub const SCHEMA_VERSION: u32 = 1;
@@ -87,7 +87,7 @@ struct EventRecord {
 #[derive(Debug)]
 pub struct EventTracer {
     ring: Vec<EventRecord>,
-    out: String,
+    out: LineWriter,
     /// Line number within the current cell (the `cell` header excluded).
     seq: u64,
     /// Probe slots consumed so far in the current cell.
@@ -107,7 +107,7 @@ impl EventTracer {
     pub fn new() -> Self {
         EventTracer {
             ring: Vec::with_capacity(RING_CAP),
-            out: String::new(),
+            out: LineWriter::default(),
             seq: 0,
             slot: 0,
             last_t: 0,
@@ -118,12 +118,7 @@ impl EventTracer {
     /// `slot` restart from zero so each cell's stream is self-contained.
     pub fn begin_cell(&mut self, index: usize, label: &str) {
         self.flush();
-        let _ = write!(
-            self.out,
-            "{{\"schema_version\":{SCHEMA_VERSION},\"ev\":\"cell\",\"cell\":{index},\"label\":"
-        );
-        escape_json_str(label, &mut self.out);
-        self.out.push_str("}\n");
+        self.out.cell_header(index, label);
         self.seq = 0;
         self.slot = 0;
         self.last_t = 0;
@@ -133,7 +128,7 @@ impl EventTracer {
     /// leaving the tracer empty and reusable.
     pub fn finish(&mut self) -> String {
         self.flush();
-        std::mem::take(&mut self.out)
+        self.out.take()
     }
 
     fn record(&mut self, t: Time, ev: Ev) {
@@ -149,14 +144,9 @@ impl EventTracer {
     }
 
     fn flush(&mut self) {
-        // Swap the ring out so encoding can borrow `self.out` mutably.
-        let ring = std::mem::take(&mut self.ring);
-        for rec in &ring {
-            let _ = write!(
-                self.out,
-                "{{\"schema_version\":{SCHEMA_VERSION},\"seq\":{},\"slot\":{},\"t\":{},",
-                self.seq, rec.slot, rec.t
-            );
+        for rec in &self.ring {
+            let w = self.out.open().num("seq", self.seq);
+            w.num("slot", rec.slot).num("t", rec.t);
             self.seq += 1;
             match rec.ev {
                 Ev::Decision {
@@ -164,41 +154,43 @@ impl EventTracer {
                     win_start,
                     win_end,
                 } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"decision\",\"segments\":{segments},\"win_start\":{win_start},\"win_end\":{win_end}"
-                    );
+                    w.lit("ev", "decision")
+                        .num("segments", segments.into())
+                        .num("win_start", win_start)
+                        .num("win_end", win_end);
                 }
                 Ev::DecisionIdle => {
-                    self.out.push_str("\"ev\":\"decision_idle\"");
+                    w.lit("ev", "decision_idle");
                 }
                 Ev::ProbeIdle { dur, segments } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"probe\",\"outcome\":\"idle\",\"dur\":{dur},\"segments\":{segments}"
-                    );
+                    w.lit("ev", "probe")
+                        .lit("outcome", "idle")
+                        .num("dur", dur)
+                        .num("segments", segments.into());
                 }
                 Ev::ProbeSuccess { msg, dur, segments } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"probe\",\"outcome\":\"success\",\"msg\":{msg},\"dur\":{dur},\"segments\":{segments}"
-                    );
+                    w.lit("ev", "probe")
+                        .lit("outcome", "success")
+                        .num("msg", msg)
+                        .num("dur", dur)
+                        .num("segments", segments.into());
                 }
                 Ev::ProbeCollision { n, dur, segments } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"probe\",\"outcome\":\"collision\",\"n\":{n},\"dur\":{dur},\"segments\":{segments}"
-                    );
+                    w.lit("ev", "probe")
+                        .lit("outcome", "collision")
+                        .num("n", n.into())
+                        .num("dur", dur)
+                        .num("segments", segments.into());
                 }
                 Ev::Split {
                     segments,
                     win_start,
                     win_end,
                 } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"split\",\"segments\":{segments},\"win_start\":{win_start},\"win_end\":{win_end}"
-                    );
+                    w.lit("ev", "split")
+                        .num("segments", segments.into())
+                        .num("win_start", win_start)
+                        .num("win_end", win_end);
                 }
                 Ev::Transmit {
                     start,
@@ -207,31 +199,29 @@ impl EventTracer {
                     paper_delay,
                     true_delay,
                 } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"transmit\",\"start\":{start},\"msg\":{msg},\"station\":{station},\"paper_delay\":{paper_delay},\"true_delay\":{true_delay}"
-                    );
+                    w.lit("ev", "transmit")
+                        .num("start", start)
+                        .num("msg", msg)
+                        .num("station", station.into())
+                        .num("paper_delay", paper_delay)
+                        .num("true_delay", true_delay);
                 }
                 Ev::Discard { msg, station } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"discard\",\"msg\":{msg},\"station\":{station}"
-                    );
+                    w.lit("ev", "discard")
+                        .num("msg", msg)
+                        .num("station", station.into());
                 }
                 Ev::Corrupted { dur } => {
-                    let _ = write!(self.out, "\"ev\":\"corrupted_slot\",\"dur\":{dur}");
+                    w.lit("ev", "corrupted_slot").num("dur", dur);
                 }
                 Ev::Backoff { dur } => {
-                    let _ = write!(self.out, "\"ev\":\"backoff\",\"dur\":{dur}");
+                    w.lit("ev", "backoff").num("dur", dur);
                 }
                 Ev::Abandoned => {
-                    self.out.push_str("\"ev\":\"round_abandoned\"");
+                    w.lit("ev", "round_abandoned");
                 }
                 Ev::Reopen { start, end } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"reopen\",\"start\":{start},\"end\":{end}"
-                    );
+                    w.lit("ev", "reopen").num("start", start).num("end", end);
                 }
                 Ev::Churn { what, station } => {
                     let what = match what {
@@ -240,16 +230,13 @@ impl EventTracer {
                         2 => "join",
                         _ => "leave",
                     };
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"churn\",\"what\":\"{what}\",\"station\":{station}"
-                    );
+                    w.lit("ev", "churn")
+                        .lit("what", what)
+                        .num("station", station.into());
                 }
             }
-            self.out.push_str("}\n");
+            w.close();
         }
-        // Hand the (cleared) allocation back to the ring.
-        self.ring = ring;
         self.ring.clear();
     }
 }
@@ -260,24 +247,6 @@ fn window_bounds(segments: &[Interval]) -> (u32, u64, u64) {
         (Some(a), Some(b)) => (segments.len() as u32, a.lo.ticks(), b.hi.ticks()),
         _ => (0, 0, 0),
     }
-}
-
-pub(crate) fn escape_json_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl EngineObserver for EventTracer {
@@ -512,6 +481,84 @@ mod tests {
         tr.begin_cell(0, "a\"b\\c\nd");
         let text = tr.finish();
         assert!(text.contains(r#""label":"a\"b\\c\nd""#), "{text}");
+    }
+
+    /// Every record kind keeps the line format the tracer wrote with
+    /// `core::fmt`, rebuilt here with `format!` as the oracle.
+    #[test]
+    fn every_record_kind_keeps_its_line_format() {
+        use tcw_mac::ChurnEvent;
+        let big = u64::MAX - 1;
+        let mut tr = EventTracer::new();
+        tr.begin_cell(usize::MAX, "K=25 \"q\"\t\u{7}");
+        let segs = [Interval::from_ticks(3, 9), Interval::from_ticks(12, big)];
+        tr.on_decision(Time::from_ticks(1), Some(&segs));
+        tr.on_decision(Time::from_ticks(2), None);
+        tr.on_probe(
+            Time::from_ticks(3),
+            &segs,
+            &SlotOutcome::Idle,
+            Dur::from_ticks(64),
+        );
+        let ok = SlotOutcome::Success(MessageId(big));
+        tr.on_probe(Time::from_ticks(4), &segs[..1], &ok, Dur::from_ticks(10));
+        let coll = SlotOutcome::Collision(u32::MAX);
+        tr.on_probe(Time::from_ticks(5), &[], &coll, Dur::from_ticks(0));
+        tr.on_immediate_split(Time::from_ticks(6), &segs);
+        let m = Message::new(MessageId(17), StationId(u32::MAX), Time::from_ticks(0));
+        tr.on_transmit(
+            &m,
+            Time::from_ticks(2),
+            Dur::from_ticks(99),
+            Dur::from_ticks(100),
+        );
+        tr.on_sender_discard(&m, Time::from_ticks(7));
+        tr.on_corrupted_slot(Time::from_ticks(8), Dur::from_ticks(64));
+        tr.on_backoff(Time::from_ticks(9), Dur::from_ticks(128));
+        tr.on_round_abandoned(Time::from_ticks(10));
+        tr.on_reopen(Interval::from_ticks(4, 5));
+        for (i, ev) in [
+            ChurnEvent::Crash(StationId(0)),
+            ChurnEvent::Restart(StationId(1)),
+            ChurnEvent::Join(StationId(2)),
+            ChurnEvent::Leave(StationId(3)),
+        ]
+        .iter()
+        .enumerate()
+        {
+            tr.on_churn_event(Time::from_ticks(11 + i as u64), ev);
+        }
+        let text = tr.finish();
+
+        let v = SCHEMA_VERSION;
+        let mut want = format!(
+            "{{\"schema_version\":{v},\"ev\":\"cell\",\"cell\":{},\"label\":\"K=25 \\\"q\\\"\\t\\u0007\"}}\n",
+            usize::MAX
+        );
+        let bodies = [
+            (0, 1, format!("\"ev\":\"decision\",\"segments\":2,\"win_start\":3,\"win_end\":{big}")),
+            (0, 2, "\"ev\":\"decision_idle\"".to_string()),
+            (0, 3, "\"ev\":\"probe\",\"outcome\":\"idle\",\"dur\":64,\"segments\":2".to_string()),
+            (1, 4, format!("\"ev\":\"probe\",\"outcome\":\"success\",\"msg\":{big},\"dur\":10,\"segments\":1")),
+            (2, 5, format!("\"ev\":\"probe\",\"outcome\":\"collision\",\"n\":{},\"dur\":0,\"segments\":0", u32::MAX)),
+            (3, 6, format!("\"ev\":\"split\",\"segments\":2,\"win_start\":3,\"win_end\":{big}")),
+            (3, 6, format!("\"ev\":\"transmit\",\"start\":2,\"msg\":17,\"station\":{},\"paper_delay\":99,\"true_delay\":100", u32::MAX)),
+            (3, 7, format!("\"ev\":\"discard\",\"msg\":17,\"station\":{}", u32::MAX)),
+            (3, 8, "\"ev\":\"corrupted_slot\",\"dur\":64".to_string()),
+            (4, 9, "\"ev\":\"backoff\",\"dur\":128".to_string()),
+            (4, 10, "\"ev\":\"round_abandoned\"".to_string()),
+            (4, 10, "\"ev\":\"reopen\",\"start\":4,\"end\":5".to_string()),
+            (4, 11, "\"ev\":\"churn\",\"what\":\"crash\",\"station\":0".to_string()),
+            (4, 12, "\"ev\":\"churn\",\"what\":\"restart\",\"station\":1".to_string()),
+            (4, 13, "\"ev\":\"churn\",\"what\":\"join\",\"station\":2".to_string()),
+            (4, 14, "\"ev\":\"churn\",\"what\":\"leave\",\"station\":3".to_string()),
+        ];
+        for (seq, (slot, t, body)) in bodies.iter().enumerate() {
+            want.push_str(&format!(
+                "{{\"schema_version\":{v},\"seq\":{seq},\"slot\":{slot},\"t\":{t},{body}}}\n"
+            ));
+        }
+        assert_eq!(text, want);
     }
 
     #[test]

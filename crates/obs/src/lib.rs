@@ -37,7 +37,7 @@
 //!   that predate this crate (the golden fingerprints pin this);
 //! * with tracing/metrics **enabled**, simulated results are byte-identical
 //!   for any `--jobs N` — every cell's telemetry is buffered worker-side
-//!   and reassembled in cell order (the `sweep_determinism` test pins
+//!   and streamed to disk in cell order (the `sweep_determinism` test pins
 //!   this). Only the stderr progress line is wall-clock dependent.
 //!
 //! ## Event schema (`schema_version` 1)
@@ -96,6 +96,7 @@
 
 pub mod event;
 pub mod lint;
+mod ndjson;
 pub mod profile;
 pub mod progress;
 pub mod registry;

@@ -4,6 +4,7 @@
 //! `obs_lint` binary wraps all three for CI.
 
 use std::collections::BTreeMap;
+use std::io::BufRead;
 
 use crate::event::SCHEMA_VERSION;
 use crate::registry::valid_metric_name;
@@ -95,6 +96,31 @@ fn parse_string(s: &str) -> Result<(String, &str), String> {
     Err("unterminated string".to_string())
 }
 
+/// Calls `f(n, line)` for every line `n` (from 1) of `r`, splitting
+/// exactly like [`str::lines`]: a line ends at `\n` or `\r\n`, and the
+/// last line needs no terminator. Only one line is held at a time.
+pub(crate) fn for_each_line(
+    mut r: impl BufRead,
+    mut f: impl FnMut(usize, &str) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut buf = String::new();
+    for n in 1.. {
+        buf.clear();
+        if r.read_line(&mut buf)
+            .map_err(|e| format!("line {n}: {e}"))?
+            == 0
+        {
+            break;
+        }
+        let line = match buf.strip_suffix('\n') {
+            Some(l) => l.strip_suffix('\r').unwrap_or(l),
+            None => &buf,
+        };
+        f(n, line)?;
+    }
+    Ok(())
+}
+
 pub(crate) fn num(fields: &BTreeMap<String, Scalar>, key: &str) -> Option<f64> {
     match fields.get(key) {
         Some(Scalar::Num(n)) => Some(*n),
@@ -108,12 +134,17 @@ pub(crate) fn num(fields: &BTreeMap<String, Scalar>, key: &str) -> Option<f64> {
 /// carry `seq` (dense from 0 per cell), `slot` and `t` (both
 /// non-decreasing per cell).
 pub fn lint_events(text: &str) -> Result<EventStats, String> {
+    lint_events_from(text.as_bytes())
+}
+
+/// [`lint_events`] over a reader, one line at a time, so a stream of any
+/// size lints in constant memory.
+pub fn lint_events_from(r: impl BufRead) -> Result<EventStats, String> {
     let mut stats = EventStats::default();
     let mut expected_seq: u64 = 0;
     let mut last_slot: u64 = 0;
     let mut last_t: u64 = 0;
-    for (lineno, line) in text.lines().enumerate() {
-        let n = lineno + 1;
+    for_each_line(r, |n, line| {
         stats.lines += 1;
         let fields = parse_flat_line(line).map_err(|e| format!("line {n}: {e}"))?;
         match num(&fields, "schema_version") {
@@ -136,7 +167,7 @@ pub fn lint_events(text: &str) -> Result<EventStats, String> {
             expected_seq = 0;
             last_slot = 0;
             last_t = 0;
-            continue;
+            return Ok(());
         }
         stats.events += 1;
         let seq = num(&fields, "seq").ok_or(format!("line {n}: missing seq"))? as u64;
@@ -154,7 +185,8 @@ pub fn lint_events(text: &str) -> Result<EventStats, String> {
             return Err(format!("line {n}: t {t} < previous {last_t}"));
         }
         last_t = t;
-    }
+        Ok(())
+    })?;
     Ok(stats)
 }
 
@@ -179,6 +211,12 @@ pub struct SpanStats {
 /// valid `outcome` (and a `cause` when dropped), and no message id is
 /// reused after closing.
 pub fn lint_spans(text: &str) -> Result<SpanStats, String> {
+    lint_spans_from(text.as_bytes())
+}
+
+/// [`lint_spans`] over a reader, one line at a time: memory grows with
+/// the spans open in the current cell, not with the stream.
+pub fn lint_spans_from(r: impl BufRead) -> Result<SpanStats, String> {
     use std::collections::BTreeSet;
     let mut stats = SpanStats::default();
     let mut expected_seq: u64 = 0;
@@ -196,8 +234,7 @@ pub fn lint_spans(text: &str) -> Result<SpanStats, String> {
         closed.clear();
         Ok(())
     };
-    for (lineno, line) in text.lines().enumerate() {
-        let n = lineno + 1;
+    for_each_line(r, |n, line| {
         stats.lines += 1;
         let fields = parse_flat_line(line).map_err(|e| format!("line {n}: {e}"))?;
         match num(&fields, "schema_version") {
@@ -220,7 +257,7 @@ pub fn lint_spans(text: &str) -> Result<SpanStats, String> {
             stats.cells += 1;
             expected_seq = 0;
             last_t = 0;
-            continue;
+            return Ok(());
         }
         let seq = num(&fields, "seq").ok_or(format!("line {n}: missing seq"))? as u64;
         if seq != expected_seq {
@@ -274,7 +311,8 @@ pub fn lint_spans(text: &str) -> Result<SpanStats, String> {
             }
             other => return Err(format!("line {n}: unknown span event {other:?}")),
         }
-    }
+        Ok(())
+    })?;
     cell_end(&mut open, &mut closed).map_err(|e| format!("end of stream: {e}"))?;
     Ok(stats)
 }
@@ -301,13 +339,17 @@ pub fn lint_prom(text: &str) -> Result<PromStats, String> {
 /// `tcw_horizon_*` fast-path counters) are actually present in an
 /// exposition.
 pub fn lint_prom_families(text: &str) -> Result<(PromStats, Vec<String>), String> {
+    lint_prom_families_from(text.as_bytes())
+}
+
+/// [`lint_prom_families`] over a reader, one line at a time.
+pub fn lint_prom_families_from(r: impl BufRead) -> Result<(PromStats, Vec<String>), String> {
     let mut stats = PromStats::default();
     let mut families: BTreeMap<String, String> = BTreeMap::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let n = lineno + 1;
+    for_each_line(r, |n, line| {
         let line = line.trim_end();
         if line.is_empty() {
-            continue;
+            return Ok(());
         }
         if let Some(rest) = line.strip_prefix("# TYPE ") {
             let mut it = rest.splitn(2, ' ');
@@ -324,17 +366,17 @@ pub fn lint_prom_families(text: &str) -> Result<(PromStats, Vec<String>), String
             }
             families.insert(name.to_string(), kind.to_string());
             stats.families += 1;
-            continue;
+            return Ok(());
         }
         if let Some(rest) = line.strip_prefix("# HELP ") {
             let name = rest.split(' ').next().unwrap_or("");
             if !valid_metric_name(name) {
                 return Err(format!("line {n}: invalid metric name {name:?}"));
             }
-            continue;
+            return Ok(());
         }
         if line.starts_with('#') {
-            continue; // arbitrary comment
+            return Ok(()); // arbitrary comment
         }
         // Sample line: name[{labels}] value
         let name_end = line.find(['{', ' ']).ok_or(format!("line {n}: no value"))?;
@@ -368,7 +410,8 @@ pub fn lint_prom_families(text: &str) -> Result<(PromStats, Vec<String>), String
             return Err(format!("line {n}: sample {name:?} has no TYPE declaration"));
         }
         stats.samples += 1;
-    }
+        Ok(())
+    })?;
     Ok((stats, families.into_keys().collect()))
 }
 

@@ -15,8 +15,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io::BufRead;
 
-use crate::lint::{num, parse_flat_line, Scalar};
+use crate::lint::{for_each_line, num, parse_flat_line, Scalar};
 use crate::SCHEMA_VERSION;
 
 /// How a message's lifecycle span closed.
@@ -117,6 +118,12 @@ pub struct Cell {
 /// `close: None` rather than an error, so forensics can run on streams a
 /// crash cut short.
 pub fn parse_spans(text: &str) -> Result<Vec<Cell>, String> {
+    parse_spans_from(text.as_bytes())
+}
+
+/// [`parse_spans`] over a reader, one line at a time: memory grows with
+/// the reconstructed lifecycles, not with the stream's text.
+pub fn parse_spans_from(r: impl BufRead) -> Result<Vec<Cell>, String> {
     let mut cells: Vec<Cell> = Vec::new();
     let mut index: BTreeMap<u64, usize> = BTreeMap::new(); // msg -> position in current cell
     let ensure_cell = |cells: &mut Vec<Cell>| {
@@ -128,8 +135,7 @@ pub fn parse_spans(text: &str) -> Result<Vec<Cell>, String> {
             });
         }
     };
-    for (lineno, line) in text.lines().enumerate() {
-        let n = lineno + 1;
+    for_each_line(r, |n, line| {
         let fields = parse_flat_line(line).map_err(|e| format!("line {n}: {e}"))?;
         match num(&fields, "schema_version") {
             Some(v) if v == SCHEMA_VERSION as f64 => {}
@@ -151,7 +157,7 @@ pub fn parse_spans(text: &str) -> Result<Vec<Cell>, String> {
                 messages: Vec::new(),
             });
             index.clear();
-            continue;
+            return Ok(());
         }
         let t = num(&fields, "t").ok_or(format!("line {n}: missing t"))? as u64;
         let msg = num(&fields, "msg").ok_or(format!("line {n}: missing msg"))? as u64;
@@ -230,7 +236,8 @@ pub fn parse_spans(text: &str) -> Result<Vec<Cell>, String> {
             }
             other => return Err(format!("line {n}: unknown span event {other:?}")),
         }
-    }
+        Ok(())
+    })?;
     Ok(cells)
 }
 

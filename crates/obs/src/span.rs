@@ -23,13 +23,11 @@
 //! the event stream's job, and slot counting would tie the span stream to
 //! the slot-stepped path.
 
-use std::fmt::Write as _;
-
 use tcw_mac::Message;
 use tcw_sim::time::{Dur, Time};
 use tcw_window::trace::{DropCause, EngineObserver};
 
-use crate::event::SCHEMA_VERSION;
+use crate::ndjson::LineWriter;
 
 /// Capacity of the preallocated record ring (see [`crate::EventTracer`]).
 const RING_CAP: usize = 4096;
@@ -80,7 +78,7 @@ struct SpanRecord {
 #[derive(Debug)]
 pub struct SpanTracer {
     ring: Vec<SpanRecord>,
-    out: String,
+    out: LineWriter,
     /// Line number within the current cell (the `cell` header excluded).
     seq: u64,
     /// Most recent event time, to keep `t` non-decreasing for deliveries
@@ -99,7 +97,7 @@ impl SpanTracer {
     pub fn new() -> Self {
         SpanTracer {
             ring: Vec::with_capacity(RING_CAP),
-            out: String::new(),
+            out: LineWriter::default(),
             seq: 0,
             last_t: 0,
         }
@@ -109,12 +107,7 @@ impl SpanTracer {
     /// restarts from zero so each cell's stream is self-contained.
     pub fn begin_cell(&mut self, index: usize, label: &str) {
         self.flush();
-        let _ = write!(
-            self.out,
-            "{{\"schema_version\":{SCHEMA_VERSION},\"ev\":\"cell\",\"cell\":{index},\"label\":"
-        );
-        crate::event::escape_json_str(label, &mut self.out);
-        self.out.push_str("}\n");
+        self.out.cell_header(index, label);
         self.seq = 0;
         self.last_t = 0;
     }
@@ -123,7 +116,7 @@ impl SpanTracer {
     /// leaving the tracer empty and reusable.
     pub fn finish(&mut self) -> String {
         self.flush();
-        std::mem::take(&mut self.out)
+        self.out.take()
     }
 
     fn record(&mut self, t: Time, ev: Sp) {
@@ -135,13 +128,8 @@ impl SpanTracer {
     }
 
     fn flush(&mut self) {
-        let ring = std::mem::take(&mut self.ring);
-        for rec in &ring {
-            let _ = write!(
-                self.out,
-                "{{\"schema_version\":{SCHEMA_VERSION},\"seq\":{},\"t\":{},",
-                self.seq, rec.t
-            );
+        for rec in &self.ring {
+            let w = self.out.open().num("seq", self.seq).num("t", rec.t);
             self.seq += 1;
             match rec.ev {
                 Sp::Open {
@@ -149,22 +137,18 @@ impl SpanTracer {
                     station,
                     arrival,
                 } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"span_open\",\"msg\":{msg},\"station\":{station},\"arrival\":{arrival}"
-                    );
+                    w.lit("ev", "span_open")
+                        .num("msg", msg)
+                        .num("station", station.into())
+                        .num("arrival", arrival);
                 }
                 Sp::Window { msg, age } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"span_window\",\"msg\":{msg},\"age\":{age}"
-                    );
+                    w.lit("ev", "span_window").num("msg", msg).num("age", age);
                 }
                 Sp::Collision { msg, age } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"span_collision\",\"msg\":{msg},\"age\":{age}"
-                    );
+                    w.lit("ev", "span_collision")
+                        .num("msg", msg)
+                        .num("age", age);
                 }
                 Sp::Delivered {
                     msg,
@@ -173,16 +157,20 @@ impl SpanTracer {
                     paper_delay,
                     true_delay,
                 } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"span_close\",\"outcome\":\"delivered\",\"msg\":{msg},\"station\":{station},\"start\":{start},\"paper_delay\":{paper_delay},\"true_delay\":{true_delay}"
-                    );
+                    w.lit("ev", "span_close")
+                        .lit("outcome", "delivered")
+                        .num("msg", msg)
+                        .num("station", station.into())
+                        .num("start", start)
+                        .num("paper_delay", paper_delay)
+                        .num("true_delay", true_delay);
                 }
                 Sp::Discarded { msg, station, age } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"span_close\",\"outcome\":\"discarded\",\"msg\":{msg},\"station\":{station},\"age\":{age}"
-                    );
+                    w.lit("ev", "span_close")
+                        .lit("outcome", "discarded")
+                        .num("msg", msg)
+                        .num("station", station.into())
+                        .num("age", age);
                 }
                 Sp::Dropped {
                     msg,
@@ -190,16 +178,16 @@ impl SpanTracer {
                     age,
                     cause,
                 } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"span_close\",\"outcome\":\"dropped\",\"msg\":{msg},\"station\":{station},\"age\":{age},\"cause\":\"{}\"",
-                        cause.label()
-                    );
+                    w.lit("ev", "span_close")
+                        .lit("outcome", "dropped")
+                        .num("msg", msg)
+                        .num("station", station.into())
+                        .num("age", age)
+                        .lit("cause", cause.label());
                 }
             }
-            self.out.push_str("}\n");
+            w.close();
         }
-        self.ring = ring;
         self.ring.clear();
     }
 }
@@ -354,6 +342,51 @@ mod tests {
         let last = text.lines().last().unwrap();
         assert!(last.contains("\"t\":50"), "{last}");
         assert!(last.contains("\"start\":40"), "{last}");
+    }
+
+    /// Every record kind keeps the line format the tracer wrote with
+    /// `core::fmt`, rebuilt here with `format!` as the oracle.
+    #[test]
+    fn every_record_kind_keeps_its_line_format() {
+        let big = u64::MAX;
+        let mut tr = SpanTracer::new();
+        tr.begin_cell(7, "rho'=0.75 \\ \u{e9}");
+        let m = msg(big, u32::MAX, big - 1);
+        tr.on_arrival(&m, Time::from_ticks(big));
+        let m = msg(2, 0, 3);
+        tr.on_window_member(&m, Time::from_ticks(big));
+        tr.on_collision_member(&m, Time::from_ticks(big));
+        tr.on_transmit(
+            &m,
+            Time::from_ticks(9),
+            Dur::from_ticks(6),
+            Dur::from_ticks(10),
+        );
+        tr.begin_cell(8, "");
+        tr.on_window_member(&m, Time::from_ticks(20));
+        tr.on_sender_discard(&m, Time::from_ticks(21));
+        tr.on_message_drop(&m, Time::from_ticks(22), DropCause::StationLeft);
+        tr.on_message_drop(&m, Time::from_ticks(23), DropCause::RejoinExpired);
+        let text = tr.finish();
+
+        let v = crate::SCHEMA_VERSION;
+        let line = |seq: u64, t: u64, body: &str| {
+            format!("{{\"schema_version\":{v},\"seq\":{seq},\"t\":{t},{body}}}\n")
+        };
+        let want = [
+            format!("{{\"schema_version\":{v},\"ev\":\"cell\",\"cell\":7,\"label\":\"rho'=0.75 \\\\ \u{e9}\"}}\n"),
+            line(0, big, &format!("\"ev\":\"span_open\",\"msg\":{big},\"station\":{},\"arrival\":{}", u32::MAX, big - 1)),
+            line(1, big, &format!("\"ev\":\"span_window\",\"msg\":2,\"age\":{}", big - 3)),
+            line(2, big, &format!("\"ev\":\"span_collision\",\"msg\":2,\"age\":{}", big - 3)),
+            line(3, big, "\"ev\":\"span_close\",\"outcome\":\"delivered\",\"msg\":2,\"station\":0,\"start\":9,\"paper_delay\":6,\"true_delay\":10"),
+            format!("{{\"schema_version\":{v},\"ev\":\"cell\",\"cell\":8,\"label\":\"\"}}\n"),
+            line(0, 20, "\"ev\":\"span_window\",\"msg\":2,\"age\":17"),
+            line(1, 21, "\"ev\":\"span_close\",\"outcome\":\"discarded\",\"msg\":2,\"station\":0,\"age\":18"),
+            line(2, 22, "\"ev\":\"span_close\",\"outcome\":\"dropped\",\"msg\":2,\"station\":0,\"age\":19,\"cause\":\"station_left\""),
+            line(3, 23, "\"ev\":\"span_close\",\"outcome\":\"dropped\",\"msg\":2,\"station\":0,\"age\":20,\"cause\":\"rejoin_expired\""),
+        ]
+        .concat();
+        assert_eq!(text, want);
     }
 
     #[test]

@@ -174,3 +174,41 @@ fn out_of_range_cell_timeout_is_a_usage_error() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Telemetry outputs are created before the first cell runs, so a path
+/// that cannot be written fails the sweep up front (exit 2) instead of
+/// after it. A fresh `--resume` journal proves that no cell ran: it is
+/// created before the outputs and still holds only its header line.
+#[test]
+fn unwritable_telemetry_path_fails_before_any_cell_runs() {
+    let dir = std::env::temp_dir().join(format!("tcw_cli_telemetry_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("a_directory")).expect("create temp dirs");
+    let cases: [(&str, &str, &[&str]); 2] = [
+        (
+            "churn",
+            env!("CARGO_BIN_EXE_churn"),
+            &["--jobs", "2", "--metrics", "/proc/nope/x.prom"],
+        ),
+        (
+            "aoi",
+            env!("CARGO_BIN_EXE_aoi"),
+            &["--jobs", "2", "--spans", "a_directory"],
+        ),
+    ];
+    for (tool, exe, args) in cases {
+        let journal = dir.join(format!("{tool}.journal"));
+        let mut args = args.to_vec();
+        args.extend(["--resume", journal.to_str().unwrap()]);
+        let (code, stderr) = run_in(&dir, exe, &args);
+        assert_eq!(code, Some(2), "{tool} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{tool} {args:?}: {stderr}");
+        assert!(stderr.starts_with(&format!("{tool}: ")), "{tool}: {stderr}");
+        let text = std::fs::read_to_string(&journal).expect("journal created");
+        assert_eq!(text.lines().count(), 1, "{tool} ran cells: {text}");
+        let csv = dir.join("results").join(format!("{tool}.csv"));
+        assert!(!csv.exists(), "{tool} wrote results");
+    }
+    assert!(dir.join("a_directory").is_dir());
+    let _ = std::fs::remove_dir_all(&dir);
+}
