@@ -3,9 +3,11 @@
 
 use std::hint::black_box;
 use tcw_bench::{bench_settings, Bench};
-use tcw_experiments::{simulate_panel, Panel, PolicyKind};
+use tcw_experiments::runner::run;
+use tcw_experiments::{Panel, PolicyKind, Scenario};
 use tcw_queueing::marching::{controlled_curve, PanelConfig};
 use tcw_queueing::service::SchedulingShape;
+use tcw_window::trace::NoopObserver;
 
 fn main() {
     let b = Bench::new("ablation");
@@ -23,7 +25,8 @@ fn main() {
         let mut seed = 100u64;
         b.run(&format!("engine_policy/{}", kind.label()), || {
             seed += 1;
-            black_box(simulate_panel(panel, kind, 100.0, bench_settings(), seed))
+            let sc = Scenario::clean(panel, kind, 100.0, bench_settings(), seed);
+            black_box(run(&sc, &mut NoopObserver, None))
         });
     }
 
@@ -54,13 +57,8 @@ fn main() {
         let mut seed = 200u64;
         b.run(&format!("guard/{name}"), || {
             seed += 1;
-            black_box(simulate_panel(
-                panel,
-                PolicyKind::Controlled,
-                100.0,
-                settings,
-                seed,
-            ))
+            let sc = Scenario::clean(panel, PolicyKind::Controlled, 100.0, settings, seed);
+            black_box(run(&sc, &mut NoopObserver, None))
         });
     }
 }

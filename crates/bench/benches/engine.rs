@@ -32,8 +32,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use tcw_experiments::runner::{PolicyKind, SimSettings};
-use tcw_experiments::sweep::{default_jobs, run_cells, Cell};
+use tcw_experiments::runner::{PolicyKind, Scenario, SimSettings};
+use tcw_experiments::sweep::{default_jobs, run_cells};
 use tcw_experiments::PANELS;
 use tcw_mac::{ChannelConfig, PoissonArrivals};
 use tcw_sim::time::{Dur, Time};
@@ -184,7 +184,7 @@ fn snapshot_restore_per_sec(samples: usize, horizon: u64) -> f64 {
     rates[rates.len() / 2]
 }
 
-fn sweep_grid(cells: usize) -> Vec<Cell> {
+fn sweep_grid(cells: usize) -> Vec<Scenario> {
     let settings = SimSettings {
         ticks_per_tau: 8,
         messages: 1_000,
@@ -193,7 +193,7 @@ fn sweep_grid(cells: usize) -> Vec<Cell> {
     };
     (0..cells)
         .map(|i| {
-            Cell::clean(
+            Scenario::clean(
                 PANELS[i % PANELS.len()],
                 PolicyKind::Controlled,
                 100.0,
@@ -205,7 +205,7 @@ fn sweep_grid(cells: usize) -> Vec<Cell> {
 }
 
 /// Median sweep throughput (cells per second) at the given worker count.
-fn cells_per_sec(cells: &[Cell], jobs: usize, samples: usize) -> f64 {
+fn cells_per_sec(cells: &[Scenario], jobs: usize, samples: usize) -> f64 {
     let mut rates: Vec<f64> = (0..samples)
         .map(|_| {
             let t0 = Instant::now();

@@ -4,9 +4,11 @@
 
 use std::hint::black_box;
 use tcw_bench::{bench_settings, Bench};
-use tcw_experiments::{simulate_panel, PolicyKind, PANELS};
+use tcw_experiments::runner::run;
+use tcw_experiments::{PolicyKind, Scenario, PANELS};
 use tcw_queueing::marching::{controlled_curve, PanelConfig};
 use tcw_queueing::service::SchedulingShape;
+use tcw_window::trace::NoopObserver;
 
 fn main() {
     let b = Bench::new("fig7");
@@ -24,13 +26,8 @@ fn main() {
         let mut seed = 0u64;
         b.run(&format!("simulated_{}", panel.id()), || {
             seed += 1;
-            black_box(simulate_panel(
-                panel,
-                PolicyKind::Controlled,
-                k,
-                bench_settings(),
-                seed,
-            ))
+            let sc = Scenario::clean(panel, PolicyKind::Controlled, k, bench_settings(), seed);
+            black_box(run(&sc, &mut NoopObserver, None))
         });
     }
 }

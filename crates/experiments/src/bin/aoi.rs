@@ -22,8 +22,8 @@ use std::fmt::Write as _;
 use std::path::Path;
 use tcw_experiments::diag;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
-use tcw_experiments::runner::{simulate_aoi_observed, AoiRun, PolicyKind, SimSettings};
-use tcw_experiments::{supervised_cells, Cli, Flag, Panel};
+use tcw_experiments::runner::{PolicyKind, SimSettings};
+use tcw_experiments::{run_scenarios, Cli, Flag, Panel, Scenario};
 
 const K_TAUS: [f64; 3] = [25.0, 50.0, 100.0];
 const LOADS: [f64; 3] = [0.25, 0.50, 0.75];
@@ -40,57 +40,21 @@ fn settings() -> SimSettings {
     }
 }
 
-/// One grid cell: (deadline, load, policy).
-#[derive(Clone, Copy)]
-struct Cell {
-    k: f64,
-    rho_prime: f64,
-    kind: PolicyKind,
+/// One grid cell at deadline `k`, load `rho_prime` and policy `kind`.
+fn cell(k: f64, rho_prime: f64, kind: PolicyKind, settings: SimSettings) -> Scenario {
+    Scenario::clean(Panel { rho_prime, m: M }, kind, k, settings, SEED)
 }
 
-fn grid() -> Vec<Cell> {
+fn grid() -> Vec<Scenario> {
     let mut cells = Vec::new();
     for &k in &K_TAUS {
         for &rho_prime in &LOADS {
             for &kind in &KINDS {
-                cells.push(Cell { k, rho_prime, kind });
+                cells.push(cell(k, rho_prime, kind, settings()));
             }
         }
     }
     cells
-}
-
-/// Runs `cells` at `settings` on the sweep executor, each under the
-/// telemetry `cli` asks for. `label` names a cell's trace/span header and
-/// `labels` its metric labels.
-fn run_cells(
-    cli: &Cli,
-    cells: Vec<Cell>,
-    settings: SimSettings,
-    label: impl Fn(&Cell) -> (String, Vec<(&'static str, String)>),
-) -> Vec<AoiRun> {
-    // The seed, settings and every cell's coordinates define the grid; any
-    // change invalidates a resume journal.
-    let mut words = vec![SEED, M, settings.ticks_per_tau, settings.messages];
-    for c in &cells {
-        words.extend([c.k.to_bits(), c.rho_prime.to_bits(), c.kind as u64]);
-    }
-    let grid = cells.clone();
-    supervised_cells(
-        cli,
-        cells.len(),
-        tcw_sim::snap::checksum(&words),
-        |i| label(&cells[i]),
-        |_, _| None,
-        move |i, obs, sink| {
-            let c = grid[i];
-            let panel = Panel {
-                rho_prime: c.rho_prime,
-                m: M,
-            };
-            simulate_aoi_observed(panel, c.kind, c.k, settings, SEED, obs, sink)
-        },
-    )
 }
 
 /// Runs the single tiny sample cell behind `--obs-cell`: busy panel,
@@ -105,11 +69,6 @@ fn run_obs_cell(cli: &Cli) {
             "--obs-cell needs both --spans PATH and --metrics PATH",
         );
     };
-    let cell = Cell {
-        k: 25.0,
-        rho_prime: 0.75,
-        kind: PolicyKind::Controlled,
-    };
     let settings = SimSettings {
         ticks_per_tau: 8,
         messages: 12,
@@ -117,21 +76,19 @@ fn run_obs_cell(cli: &Cli) {
         stations: 20,
         guard: false,
     };
-    let id = Panel {
-        rho_prime: 0.75,
-        m: M,
-    }
-    .id();
-    let label = format!("{id} {} K={}", cell.kind.label(), cell.k);
-    let run = run_cells(cli, vec![cell], settings, |c| {
+    let c = cell(25.0, 0.75, PolicyKind::Controlled, settings);
+    let id = c.panel.id();
+    let label = format!("{id} {} K={}", c.policy.label(), c.k_tau);
+    let describe = |c: &Scenario| {
         let labels = vec![
             ("panel", id.clone()),
-            ("policy", c.kind.label().to_string()),
+            ("policy", c.policy.label().to_string()),
             ("k", "25".to_string()),
             ("seed", "1983".to_string()),
         ];
         (label.clone(), labels)
-    })[0];
+    };
+    let run = run_scenarios(cli, &[c], describe, |_| None)[0];
     println!(
         "obs-cell: {label} (seed {SEED}) loss={:.6} offered={} mean_age={:.3} tau -> {} + {}",
         run.point.loss,
@@ -153,15 +110,16 @@ fn main() {
     println!("Age-of-Information sweep (M={M}, seed {SEED})\n");
 
     let cells = grid();
-    let runs = run_cells(&cli, cells.clone(), settings(), |c| {
+    let describe = |c: &Scenario| {
+        let (rho, policy) = (c.panel.rho_prime, c.policy.label());
         let labels = vec![
-            ("rho", format!("{}", c.rho_prime)),
-            ("policy", c.kind.label().to_string()),
-            ("k", format!("{}", c.k)),
+            ("rho", format!("{rho}")),
+            ("policy", policy.to_string()),
+            ("k", format!("{}", c.k_tau)),
         ];
-        let label = format!("rho'={:.2} {} K={}", c.rho_prime, c.kind.label(), c.k);
-        (label, labels)
-    });
+        (format!("rho'={rho:.2} {policy} K={}", c.k_tau), labels)
+    };
+    let runs = run_scenarios(&cli, &cells, describe, |_| None);
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut report = String::from(
@@ -179,11 +137,12 @@ fn main() {
         });
     }
     for (cell, run) in cells.iter().zip(&runs) {
+        let rho_prime = cell.panel.rho_prime;
         let line = format!(
             "K={:<5} rho'={:.2} {:<10} loss={:.4} util={:.3} mean_age={:.2} peak_age={:.2} violation={:.4} deliveries={} stations={}",
-            cell.k,
-            cell.rho_prime,
-            cell.kind.label(),
+            cell.k_tau,
+            rho_prime,
+            cell.policy.label(),
             run.point.loss,
             run.point.utilization,
             run.aoi.mean_age_tau,
@@ -195,9 +154,9 @@ fn main() {
         println!("  {line}");
         let _ = writeln!(report, "{line}");
         rows.push(vec![
-            format!("{}", cell.k),
-            format!("{}", cell.rho_prime),
-            cell.kind.label().to_string(),
+            format!("{}", cell.k_tau),
+            format!("{rho_prime}"),
+            cell.policy.label().to_string(),
             format!("{}", run.point.loss),
             format!("{}", run.point.utilization),
             format!("{}", run.aoi.mean_age_tau),
@@ -206,12 +165,12 @@ fn main() {
             format!("{}", run.aoi.deliveries),
             format!("{}", run.aoi.stations_observed),
         ]);
-        if cell.kind == PolicyKind::Controlled {
+        if cell.policy == PolicyKind::Controlled {
             let ri = LOADS
                 .iter()
-                .position(|&r| r == cell.rho_prime)
+                .position(|&r| r == rho_prime)
                 .expect("load in grid");
-            series[ri].points.push((cell.k, run.aoi.mean_age_tau));
+            series[ri].points.push((cell.k_tau, run.aoi.mean_age_tau));
         }
     }
 

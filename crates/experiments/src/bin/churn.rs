@@ -21,10 +21,10 @@
 
 use std::path::Path;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
-use tcw_experiments::replay::{execute, replay, FailureRecord};
-use tcw_experiments::runner::{simulate_churn_observed, PolicyKind, SimSettings};
-use tcw_experiments::{supervised_cells, Cli, Flag, Panel};
-use tcw_mac::{ChurnPlan, FaultPlan};
+use tcw_experiments::replay::{replay, showcase};
+use tcw_experiments::runner::{PolicyKind, SimSettings};
+use tcw_experiments::{run_scenarios, Cli, Flag, Panel, Scenario};
+use tcw_mac::ChurnPlan;
 
 const CRASH_RATES: [f64; 5] = [0.0, 0.0005, 0.001, 0.002, 0.005];
 const LOADS: [f64; 3] = [0.25, 0.50, 0.75];
@@ -56,17 +56,12 @@ fn sweep_plan(crash: f64) -> ChurnPlan {
     }
 }
 
-fn base_record(rho_prime: f64, churn: ChurnPlan) -> FailureRecord {
-    FailureRecord {
-        seed: SEED,
-        plan: FaultPlan::none(),
+/// The controlled protocol at load `rho_prime` under churn plan `churn`.
+fn cell(rho_prime: f64, churn: ChurnPlan) -> Scenario {
+    let panel = Panel { rho_prime, m: M };
+    Scenario {
         churn,
-        panel: Panel { rho_prime, m: M },
-        policy: PolicyKind::Controlled,
-        k_tau: K_TAU,
-        settings: settings(),
-        kind: String::new(),
-        detail: String::new(),
+        ..Scenario::clean(panel, PolicyKind::Controlled, K_TAU, settings(), SEED)
     }
 }
 
@@ -85,60 +80,26 @@ fn main() {
 
     println!("station-churn sweep: controlled protocol, M={M}, K={K_TAU} tau, down={DOWN_SLOTS} slots, catch-up={CATCH_UP_SLOTS} slots\n");
 
-    // One supervised sweep over the whole load × crash-rate grid. The
-    // seed, panel shape and grid size define the cells; any change to them
-    // invalidates a resume journal.
-    let cell = |i: usize| {
-        let (rho, c) = (
-            LOADS[i / CRASH_RATES.len()],
-            CRASH_RATES[i % CRASH_RATES.len()],
-        );
-        (rho, c, base_record(rho, sweep_plan(c)))
-    };
-    let n = LOADS.len() * CRASH_RATES.len();
-    let fingerprint = tcw_sim::snap::checksum(&[
-        SEED,
-        M,
-        K_TAU.to_bits(),
-        DOWN_SLOTS,
-        CATCH_UP_SLOTS,
-        n as u64,
-    ]);
-    let outcomes = supervised_cells(
+    // One supervised sweep over the whole load × crash-rate grid.
+    let cells: Vec<Scenario> = LOADS
+        .iter()
+        .flat_map(|&rho| CRASH_RATES.map(|c| cell(rho, sweep_plan(c))))
+        .collect();
+    let outcomes = run_scenarios(
         &cli,
-        n,
-        fingerprint,
-        |i| {
-            let (rho, c, _) = cell(i);
+        &cells,
+        |s| {
+            let (rho, c) = (s.panel.rho_prime, s.churn.crash);
             let labels = vec![("rho", format!("{rho}")), ("crash_rate", format!("{c}"))];
             (format!("rho={rho:.2} crash={c:.4}"), labels)
         },
-        |i, message| {
-            let (rho, c, mut failed) = cell(i);
-            failed.kind = "panic".to_string();
-            failed.detail = message.to_string();
-            let path = failures_dir.join(format!(
+        |s| {
+            Some(failures_dir.join(format!(
                 "failure_panic_seed{}_rho{:02}_c{:04}.json",
-                failed.seed,
-                (rho * 100.0) as u32,
-                (c * 10_000.0).round() as u32
-            ));
-            failed.save(&path).expect("write replay artifact");
-            Some(path)
-        },
-        move |i, obs, sink| {
-            let (_, _, rec) = cell(i);
-            simulate_churn_observed(
-                rec.panel,
-                rec.policy,
-                rec.k_tau,
-                rec.settings,
-                rec.seed,
-                rec.plan,
-                rec.churn,
-                obs,
-                sink,
-            )
+                s.seed,
+                (s.panel.rho_prime * 100.0) as u32,
+                (s.churn.crash * 10_000.0).round() as u32
+            )))
         },
     );
 
@@ -222,7 +183,7 @@ fn main() {
     // repair it at the next beacon, and the whole episode must be
     // replayable from the artifact.
     println!("\nmembership showcase (late join + leave + listener outage):\n");
-    let showcase = ChurnPlan {
+    let membership = ChurnPlan {
         late_join_frac: 0.2,
         join_slot: 2_000,
         leave_frac: 0.1,
@@ -232,28 +193,12 @@ fn main() {
         outage_slots: 64,
         ..ChurnPlan::none()
     };
-    let rec = base_record(0.50, showcase);
-    let (kind, detail) = execute(&rec);
-    if kind == "ok" {
-        let line = format!("  station 0 never diverged ({detail})");
-        println!("{line}");
-        report.push_str(&line);
-    } else {
-        let mut failed = rec.clone();
-        failed.kind = kind.clone();
-        failed.detail = detail;
-        let path = failures_dir.join(format!("failure_churn_{}_seed{}.json", kind, rec.seed));
-        failed.save(&path).expect("write replay artifact");
-        let line = format!(
-            "  [{}] {}\n  replay artifact: {}\n  reproduce: cargo run --release -p tcw-experiments --bin churn -- --replay {}",
-            failed.kind,
-            failed.detail,
-            path.display(),
-            path.display()
-        );
-        println!("{line}");
-        report.push_str(&line);
-    }
+    let sc = cell(0.50, membership);
+    let line = showcase("churn", &sc, |kind| {
+        failures_dir.join(format!("failure_churn_{kind}_seed{}.json", sc.seed))
+    });
+    println!("{line}");
+    report.push_str(&line);
     report.push('\n');
 
     write_csv(

@@ -26,11 +26,9 @@
 use std::path::{Path, PathBuf};
 use tcw_experiments::diag;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
-use tcw_experiments::runner::simulate_churn_observed;
 use tcw_experiments::{
-    supervised_cells, Cli, Flag, Panel, PolicyKind, SimPoint, SimSettings, PANELS,
+    run_scenarios, Cli, Flag, Panel, PolicyKind, Scenario, SimPoint, SimSettings, PANELS,
 };
-use tcw_mac::{ChurnPlan, FaultPlan};
 use tcw_queueing::marching::{controlled_curve, fcfs_curve, lcfs_curve, CurvePoint, PanelConfig};
 use tcw_queueing::service::SchedulingShape;
 
@@ -44,72 +42,46 @@ struct PanelResult {
     sim_lcfs: Vec<SimPoint>,
 }
 
-/// One simulated point of the Figure-7 grid, fully specified (the seed
-/// mixes the panel salt and K exactly like the historical serial loop).
-#[derive(Clone, Copy)]
-struct Job {
-    panel: Panel,
-    kind: PolicyKind,
-    k: f64,
-    seed: u64,
-}
-
 const KINDS: [(PolicyKind, u64); 3] = [
     (PolicyKind::Controlled, 0x01),
     (PolicyKind::Fcfs, 0x02),
     (PolicyKind::Lcfs, 0x03),
 ];
 
-/// Runs `jobs` on the sweep executor, each cell under the telemetry `cli`
-/// asks for (labeled by panel, policy, K and seed), and returns the
-/// measured points in grid order. The settings plus every job's full
-/// specification define the grid; any change invalidates a resume
-/// journal. The per-job seed already mixes in the policy salt, so the
-/// policy is covered.
-fn run_jobs(cli: &Cli, jobs: Vec<Job>, settings: SimSettings) -> Vec<SimPoint> {
-    let mut words = vec![
-        settings.ticks_per_tau,
-        settings.messages,
-        settings.warmup,
-        u64::from(settings.stations),
-        u64::from(settings.guard),
-    ];
-    for j in &jobs {
-        words.extend([
-            j.panel.rho_prime.to_bits(),
-            j.panel.m,
-            j.k.to_bits(),
-            j.seed,
-        ]);
-    }
-    let grid = jobs.clone();
-    supervised_cells(
+/// One simulated point of the Figure-7 grid: the seed mixes the policy
+/// salt and K exactly like the historical serial loop.
+fn cell(
+    panel: Panel,
+    (kind, salt): (PolicyKind, u64),
+    k: f64,
+    settings: SimSettings,
+    seed: u64,
+) -> Scenario {
+    Scenario::clean(panel, kind, k, settings, seed ^ salt ^ (k as u64))
+}
+
+/// Runs `cells` on the sweep executor, each cell under the telemetry
+/// `cli` asks for (labeled by panel, policy, K and seed), and returns the
+/// measured points in grid order.
+fn run_points(cli: &Cli, cells: &[Scenario]) -> Vec<SimPoint> {
+    run_scenarios(
         cli,
-        jobs.len(),
-        tcw_sim::snap::checksum(&words),
-        |i| {
-            let j = &jobs[i];
-            let id = j.panel.id();
-            let label = format!("{id} {} K={}", j.kind.label(), j.k);
+        cells,
+        |c| {
+            let id = c.panel.id();
+            let label = format!("{id} {} K={}", c.policy.label(), c.k_tau);
             let labels = vec![
                 ("panel", id),
-                ("policy", j.kind.label().to_string()),
-                ("k", format!("{}", j.k)),
-                ("seed", format!("{}", j.seed)),
+                ("policy", c.policy.label().to_string()),
+                ("k", format!("{}", c.k_tau)),
+                ("seed", format!("{}", c.seed)),
             ];
             (label, labels)
         },
-        |_, _| None,
-        move |i, obs, sink| {
-            let j = grid[i];
-            let (plan, churn) = (FaultPlan::none(), ChurnPlan::none());
-            simulate_churn_observed(
-                j.panel, j.kind, j.k, settings, j.seed, plan, churn, obs, sink,
-            )
-        },
+        |_| None,
     )
     .into_iter()
-    .map(|p| p.point)
+    .map(|o| o.point)
     .collect()
 }
 
@@ -120,20 +92,15 @@ fn run_jobs(cli: &Cli, jobs: Vec<Job>, settings: SimSettings) -> Vec<SimPoint> {
 /// a second for all six panels in a release build) next to the panel's
 /// three point series reassembled in grid order.
 fn run_panels(cli: &Cli, panels: &[Panel], settings: SimSettings, seed: u64) -> Vec<PanelResult> {
-    let mut jobs = Vec::new();
+    let mut cells = Vec::new();
     for &panel in panels {
-        for (kind, salt) in KINDS {
+        for kind in KINDS {
             for &k in &panel.k_grid_sim() {
-                jobs.push(Job {
-                    panel,
-                    kind,
-                    k,
-                    seed: seed ^ salt ^ (k as u64),
-                });
+                cells.push(cell(panel, kind, k, settings, seed));
             }
         }
     }
-    let mut cursor = run_jobs(cli, jobs, settings).into_iter();
+    let mut cursor = run_points(cli, &cells).into_iter();
     let mut results = Vec::new();
     for &panel in panels {
         let cfg = PanelConfig {
@@ -326,14 +293,6 @@ fn run_obs_cell(cli: &Cli) {
             "--obs-cell needs both --trace-events PATH and --metrics PATH",
         );
     };
-    let (kind, salt) = KINDS[0]; // controlled
-    let k = 100.0;
-    let job = Job {
-        panel: PANELS[4], // rho' = 0.75, M = 25: busy enough to collide
-        kind,
-        k,
-        seed: 42 ^ salt ^ (k as u64),
-    };
     let settings = SimSettings {
         ticks_per_tau: 8,
         messages: 12,
@@ -341,12 +300,15 @@ fn run_obs_cell(cli: &Cli) {
         stations: 20,
         guard: false,
     };
-    let p = run_jobs(cli, vec![job], settings)[0];
+    // rho' = 0.75, M = 25: busy enough to collide.
+    let c = cell(PANELS[4], KINDS[0], 100.0, settings, 42);
+    let p = run_points(cli, &[c])[0];
     println!(
-        "obs-cell: {} {} K={k} (seed {}) loss={:.6} offered={} -> {} + {}",
-        job.panel.id(),
-        kind.label(),
-        job.seed,
+        "obs-cell: {} {} K={} (seed {}) loss={:.6} offered={} -> {} + {}",
+        c.panel.id(),
+        c.policy.label(),
+        c.k_tau,
+        c.seed,
         p.loss,
         p.offered,
         trace.display(),

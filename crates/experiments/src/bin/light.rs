@@ -20,9 +20,9 @@
 use std::fmt::Write as _;
 use std::path::Path;
 use tcw_experiments::plot::write_csv;
-use tcw_experiments::runner::{simulate_churn, PolicyKind, SimSettings};
-use tcw_experiments::Panel;
-use tcw_mac::{ChurnPlan, FaultPlan};
+use tcw_experiments::runner::{run, PolicyKind, SimSettings};
+use tcw_experiments::{diag, Panel, Scenario};
+use tcw_window::trace::NoopObserver;
 
 const LOADS: [f64; 3] = [0.02, 0.05, 0.10];
 const KINDS: [PolicyKind; 3] = [PolicyKind::Controlled, PolicyKind::Fcfs, PolicyKind::Lcfs];
@@ -40,6 +40,7 @@ fn settings() -> SimSettings {
 }
 
 fn main() {
+    diag::no_arguments("light");
     let results = Path::new("results");
     std::fs::create_dir_all(results).expect("create results dir");
 
@@ -52,9 +53,9 @@ fn main() {
     for rho_prime in LOADS {
         for kind in KINDS {
             let panel = Panel { rho_prime, m: M };
-            let (plan, churn) = (FaultPlan::none(), ChurnPlan::none());
-            let run = simulate_churn(panel, kind, K_TAU, settings(), SEED, plan, churn);
-            let (p, h) = (run.point, run.horizon);
+            let sc = Scenario::clean(panel, kind, K_TAU, settings(), SEED);
+            let out = run(&sc, &mut NoopObserver, None);
+            let (p, h) = (out.point, out.horizon);
             assert!(
                 h.jumps > 0,
                 "fast path never engaged at rho'={rho_prime} {}",

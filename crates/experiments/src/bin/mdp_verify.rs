@@ -26,6 +26,7 @@ use tcw_window::policy::{ControlPolicy, SplitRule, WindowLength, WindowPosition}
 use tcw_window::trace::NoopObserver;
 
 fn main() {
+    tcw_experiments::diag::no_arguments("mdp_verify");
     let mut failures = 0u32;
 
     println!("== 1. Lemma 3: one-step pseudo loss, min-slack vs alternatives ==\n");

@@ -18,12 +18,12 @@
 //! re-executes the identical timeline and must reproduce the identical
 //! failure (the binary exits non-zero if it does not).
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
-use tcw_experiments::replay::{execute, replay, FailureRecord};
-use tcw_experiments::runner::{simulate_churn_observed, PolicyKind, SimSettings};
-use tcw_experiments::{supervised_cells, Cli, Flag, Panel};
-use tcw_mac::{ChurnPlan, FaultPlan};
+use tcw_experiments::replay::{replay, showcase};
+use tcw_experiments::runner::{PolicyKind, SimSettings};
+use tcw_experiments::{run_scenarios, Cli, Flag, Panel, Scenario};
+use tcw_mac::FaultPlan;
 
 const FAULT_PROBS: [f64; 5] = [0.0, 0.01, 0.02, 0.05, 0.10];
 const LOADS: [f64; 3] = [0.25, 0.50, 0.75];
@@ -40,37 +40,12 @@ fn settings() -> SimSettings {
     }
 }
 
-/// Runs a configuration; on failure writes a replay artifact and returns
-/// its path.
-fn guarded(rec: &FailureRecord, out_dir: &Path) -> Result<String, PathBuf> {
-    let (kind, detail) = execute(rec);
-    if kind == "ok" {
-        return Ok(detail);
-    }
-    let mut failed = rec.clone();
-    failed.kind = kind.clone();
-    failed.detail = detail;
-    let path = out_dir.join(format!(
-        "failure_{}_seed{}_p{:02}.json",
-        kind,
-        rec.seed,
-        (rec.plan.erasure * 100.0).round() as u32
-    ));
-    failed.save(&path).expect("write replay artifact");
-    Err(path)
-}
-
-fn base_record(rho_prime: f64, plan: FaultPlan) -> FailureRecord {
-    FailureRecord {
-        seed: SEED,
+/// The controlled protocol at load `rho_prime` under fault plan `plan`.
+fn cell(rho_prime: f64, plan: FaultPlan) -> Scenario {
+    let panel = Panel { rho_prime, m: M };
+    Scenario {
         plan,
-        churn: ChurnPlan::none(),
-        panel: Panel { rho_prime, m: M },
-        policy: PolicyKind::Controlled,
-        k_tau: K_TAU,
-        settings: settings(),
-        kind: String::new(),
-        detail: String::new(),
+        ..Scenario::clean(panel, PolicyKind::Controlled, K_TAU, settings(), SEED)
     }
 }
 
@@ -90,51 +65,25 @@ fn main() {
     println!("fault-injection sweep: controlled protocol, M={M}, K={K_TAU} tau\n");
 
     // The full load × fault-probability grid runs as one supervised sweep.
-    // The seed, panel shape and grid size define the cells; any change to
-    // them invalidates a resume journal.
-    let cell = |i: usize| {
-        let (rho, p) = (
-            LOADS[i / FAULT_PROBS.len()],
-            FAULT_PROBS[i % FAULT_PROBS.len()],
-        );
-        (rho, p, base_record(rho, FaultPlan::uniform(p)))
-    };
-    let n = LOADS.len() * FAULT_PROBS.len();
-    let outcomes = supervised_cells(
+    let cells: Vec<Scenario> = LOADS
+        .iter()
+        .flat_map(|&rho| FAULT_PROBS.map(|p| cell(rho, FaultPlan::uniform(p))))
+        .collect();
+    let outcomes = run_scenarios(
         &cli,
-        n,
-        tcw_sim::snap::checksum(&[SEED, M, K_TAU.to_bits(), n as u64]),
-        |i| {
-            let (rho, p, _) = cell(i);
+        &cells,
+        |c| {
+            let (rho, p) = (c.panel.rho_prime, c.plan.erasure);
             let labels = vec![("rho", format!("{rho}")), ("fault_prob", format!("{p}"))];
             (format!("rho={rho:.2} p={p:.2}"), labels)
         },
-        |i, message| {
-            let (rho, p, mut failed) = cell(i);
-            failed.kind = "panic".to_string();
-            failed.detail = message.to_string();
-            let path = failures_dir.join(format!(
+        |c| {
+            Some(failures_dir.join(format!(
                 "failure_panic_seed{}_rho{:02}_p{:02}.json",
-                failed.seed,
-                (rho * 100.0) as u32,
-                (p * 100.0).round() as u32
-            ));
-            failed.save(&path).expect("write replay artifact");
-            Some(path)
-        },
-        move |i, obs, sink| {
-            let (_, _, rec) = cell(i);
-            simulate_churn_observed(
-                rec.panel,
-                rec.policy,
-                rec.k_tau,
-                rec.settings,
-                rec.seed,
-                rec.plan,
-                rec.churn,
-                obs,
-                sink,
-            )
+                c.seed,
+                (c.panel.rho_prime * 100.0) as u32,
+                (c.plan.erasure * 100.0).round() as u32
+            )))
         },
     );
 
@@ -204,26 +153,16 @@ fn main() {
     let mut deaf_plan = FaultPlan::uniform(0.02);
     deaf_plan.deafness = 0.002;
     deaf_plan.deaf_slots = 4;
-    let rec = base_record(0.50, deaf_plan);
-    match guarded(&rec, &failures_dir) {
-        Ok(detail) => {
-            let line = format!("  station 0 never diverged ({detail})");
-            println!("{line}");
-            report.push_str(&line);
-        }
-        Err(path) => {
-            let loaded = FailureRecord::load(&path).expect("reload artifact");
-            let line = format!(
-                "  [{}] {}\n  replay artifact: {}\n  reproduce: cargo run --release -p tcw-experiments --bin robustness -- --replay {}",
-                loaded.kind,
-                loaded.detail,
-                path.display(),
-                path.display()
-            );
-            println!("{line}");
-            report.push_str(&line);
-        }
-    }
+    let sc = cell(0.50, deaf_plan);
+    let line = showcase("robustness", &sc, |kind| {
+        failures_dir.join(format!(
+            "failure_{kind}_seed{}_p{:02}.json",
+            sc.seed,
+            (sc.plan.erasure * 100.0).round() as u32
+        ))
+    });
+    println!("{line}");
+    report.push_str(&line);
     report.push('\n');
 
     write_csv(

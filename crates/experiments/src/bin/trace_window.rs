@@ -31,6 +31,7 @@ fn measure() -> MeasureConfig {
 }
 
 fn main() {
+    tcw_experiments::diag::no_arguments("trace_window");
     println!("== Figure 1: operation of the time window protocol ==\n");
     println!("Four stations; station 1 and 2 and 3 hold messages whose arrival");
     println!("times fall inside the second initial window; splitting isolates");

@@ -28,7 +28,10 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
-use crate::replay::{load_artifact, panic_message, save_artifact, ArtifactReader, ArtifactWriter};
+use crate::replay::{
+    load_artifact, panic_message, plan_fields, read_plans, save_artifact, ArtifactReader,
+    ArtifactWriter,
+};
 use crate::runner::run_to_horizon;
 use tcw_mac::{
     AdversarialInjector, AdversaryPlan, ArrivalSource, ChannelConfig, ChurnPlan, FaultPlan,
@@ -894,22 +897,7 @@ impl ChaosRecord {
         w.u64("k_ticks", c.k_ticks);
         w.str("controller", c.controller.label());
         w.str("mutation", c.mutation.label());
-        w.f64("success_to_collision", c.plan.success_to_collision);
-        w.f64("collision_to_success", c.plan.collision_to_success);
-        w.f64("collision_to_idle", c.plan.collision_to_idle);
-        w.f64("idle_to_collision", c.plan.idle_to_collision);
-        w.f64("erasure", c.plan.erasure);
-        w.f64("deafness", c.plan.deafness);
-        w.u64("deaf_slots", c.plan.deaf_slots);
-        w.f64("crash", c.churn.crash);
-        w.u64("down_slots", c.churn.down_slots);
-        w.f64("late_join_frac", c.churn.late_join_frac);
-        w.u64("join_slot", c.churn.join_slot);
-        w.f64("leave_frac", c.churn.leave_frac);
-        w.u64("leave_slot", c.churn.leave_slot);
-        w.u64("catch_up_slots", c.churn.catch_up_slots);
-        w.u64("outage_start_slot", c.churn.outage_start_slot);
-        w.u64("outage_slots", c.churn.outage_slots);
+        w.fields(&plan_fields(&c.plan, &c.churn));
         let segments = c
             .segments
             .iter()
@@ -949,6 +937,7 @@ impl ChaosRecord {
                     .map_err(|e| format!("segment rate {rate:?}: {e}"))?,
             ));
         }
+        let (plan, churn) = read_plans(&r)?;
         let config = ChaosConfig {
             seed: r.u64("seed")?,
             horizon_ticks: r.u64("horizon_ticks")?,
@@ -957,26 +946,8 @@ impl ChaosRecord {
             message_slots: r.u64("message_slots")?,
             k_ticks: r.u64("k_ticks")?,
             controller,
-            plan: FaultPlan {
-                success_to_collision: r.f64("success_to_collision")?,
-                collision_to_success: r.f64("collision_to_success")?,
-                collision_to_idle: r.f64("collision_to_idle")?,
-                idle_to_collision: r.f64("idle_to_collision")?,
-                erasure: r.f64("erasure")?,
-                deafness: r.f64("deafness")?,
-                deaf_slots: r.u64("deaf_slots")?,
-            },
-            churn: ChurnPlan {
-                crash: r.f64("crash")?,
-                down_slots: r.u64("down_slots")?,
-                late_join_frac: r.f64("late_join_frac")?,
-                join_slot: r.u64("join_slot")?,
-                leave_frac: r.f64("leave_frac")?,
-                leave_slot: r.u64("leave_slot")?,
-                catch_up_slots: r.u64("catch_up_slots")?,
-                outage_start_slot: r.u64("outage_start_slot")?,
-                outage_slots: r.u64("outage_slots")?,
-            },
+            plan,
+            churn,
             segments,
             adv_rate: r.f64("adv_rate")?,
             adv_burst: r.u64("adv_burst")? as u32,

@@ -33,6 +33,15 @@ pub fn usage(tool: &str, msg: &str) -> ! {
     std::process::exit(EXIT_USAGE)
 }
 
+/// Rejects the command line of a tool that takes no arguments: the first
+/// argument given is reported as unknown and exits with [`EXIT_USAGE`]
+/// before the tool does any work.
+pub fn no_arguments(tool: &str) {
+    if let Some(arg) = std::env::args().nth(1) {
+        usage(tool, &format!("unknown argument {arg:?}"));
+    }
+}
+
 /// Reports a runtime failure and exits with [`EXIT_FAILURE`].
 pub fn fail(tool: &str, msg: &str) -> ! {
     error(tool, msg);

@@ -23,9 +23,12 @@
 //!   controllers) run under the `tcw-window` invariant monitor, with
 //!   delta-debugging shrinking of failures to minimal replay artifacts.
 //!
-//! The library part hosts the simulation runners (so the `tcw-bench`
-//! criterion benches reuse exactly the code that produced EXPERIMENTS.md)
-//! and small CSV/ASCII-plot helpers.
+//! The library part hosts the one simulation runner — a
+//! [`runner::Scenario`] in, a [`runner::Outcome`] out, so the binaries,
+//! tests, `tcw-bench` benches and examples all run exactly the code that
+//! produced EXPERIMENTS.md — plus the sweep executor and command line
+//! ([`sweep`], [`supervise`]), the replay artifacts ([`replay`]) and
+//! small CSV/ASCII-plot helpers.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -51,11 +54,11 @@ pub use obs::{
 pub use panels::{Panel, PANELS};
 pub use replay::FailureRecord;
 pub use runner::{
-    simulate_panel, DetectorReport, FaultCounters, FaultSimPoint, PolicyKind, SimPoint, SimSettings,
+    FaultCounters, FaultSimPoint, Outcome, PolicyKind, Scenario, SimPoint, SimSettings,
 };
 pub use supervise::{
-    load_engine_snapshot, run_supervised, save_engine_snapshot, snapshot_from_artifact,
-    snapshot_to_artifact, supervised_cells, Journal, JournalItem, Quarantined, SupervisorOptions,
-    SweepOutcome,
+    load_engine_snapshot, run_scenarios, run_supervised, save_engine_snapshot,
+    snapshot_from_artifact, snapshot_to_artifact, supervised_cells, Journal, JournalItem,
+    Quarantined, SupervisorOptions, SweepOutcome,
 };
-pub use sweep::{run_parallel, Cell, Cli, Flag};
+pub use sweep::{run_parallel, Cli, Flag};

@@ -352,9 +352,9 @@ impl Drop for Output {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{simulate_churn, simulate_churn_observed, PolicyKind, SimSettings};
+    use crate::runner::{run, Outcome, PolicyKind, Scenario, SimSettings};
     use crate::sweep::{Cli, Flag};
-    use tcw_mac::{ChurnPlan, FaultPlan};
+    use tcw_window::trace::NoopObserver;
 
     fn parse(v: &[&str]) -> Result<Cli, String> {
         let args: Vec<String> = v.iter().map(|s| s.to_string()).collect();
@@ -417,38 +417,25 @@ mod tests {
         }
     }
 
+    fn scenario(seed: u64) -> Scenario {
+        let panel = crate::panels::PANELS[0];
+        Scenario::clean(panel, PolicyKind::Controlled, 100.0, settings(), seed)
+    }
+
     fn observed(
         caps: Capture,
         index: usize,
         label: &str,
         labels: &[(&str, &str)],
         seed: u64,
-    ) -> (crate::runner::ChurnSimPoint, CellArtifacts) {
+    ) -> (Outcome, CellArtifacts) {
         observe_engine_cell(caps, index, label, labels, |obs, sink| {
-            simulate_churn_observed(
-                crate::panels::PANELS[0],
-                PolicyKind::Controlled,
-                100.0,
-                settings(),
-                seed,
-                FaultPlan::none(),
-                ChurnPlan::none(),
-                obs,
-                sink,
-            )
+            run(&scenario(seed), obs, sink)
         })
     }
 
-    fn plain(seed: u64) -> crate::runner::ChurnSimPoint {
-        simulate_churn(
-            crate::panels::PANELS[0],
-            PolicyKind::Controlled,
-            100.0,
-            settings(),
-            seed,
-            FaultPlan::none(),
-            ChurnPlan::none(),
-        )
+    fn plain(seed: u64) -> Outcome {
+        run(&scenario(seed), &mut NoopObserver, None)
     }
 
     #[test]

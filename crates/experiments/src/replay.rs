@@ -2,28 +2,32 @@
 //!
 //! When a fault- or churn-injected run panics, trips an invariant, or a
 //! divergence detector fires, the robustness harness serializes everything
-//! needed to reproduce the failure — master seed, [`FaultPlan`],
-//! [`ChurnPlan`], workload and policy parameters, and the observed failure
-//! — into a small flat JSON file under `results/failures/`. Because every
-//! random choice in a run derives from the master seed, replaying the
-//! record re-executes the identical timeline and must reproduce the
-//! identical failure.
+//! needed to reproduce the failure into a small flat JSON file under
+//! `results/failures/`: the run's [`Scenario`] as its canonical field
+//! block (master seed, [`FaultPlan`], [`ChurnPlan`], workload and policy
+//! parameters), then the observed failure. Because every random choice in
+//! a run derives from the master seed, replaying the record re-executes
+//! the identical timeline and must reproduce the identical failure.
 //!
 //! The format is deliberately flat (one JSON object, scalar values only)
 //! so it can be written and parsed without a serialization dependency.
+//! [`ArtifactWriter`] and [`ArtifactReader`] are the envelope every
+//! record type shares; the fault- and churn-plan fields have one codec
+//! shared by [`FailureRecord`] and [`crate::chaos::ChaosRecord`].
 //! Each artifact is stamped with the workspace version that wrote it;
 //! loading a stale or corrupted artifact returns an error (the replay
 //! binaries exit with code 2) instead of silently replaying a different
 //! timeline.
 
 use crate::panels::Panel;
-use crate::runner::{simulate_churn, simulate_churn_with_detector, PolicyKind, SimSettings};
+use crate::runner::{run, PolicyKind, Scenario, SimSettings};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use tcw_mac::{ChurnPlan, FaultPlan};
+use tcw_window::trace::NoopObserver;
 
 /// The workspace version stamped into every artifact.
 pub const ARTIFACT_VERSION: &str = env!("CARGO_PKG_VERSION");
@@ -92,6 +96,119 @@ pub(crate) fn unescape(s: &str) -> String {
     out
 }
 
+/// One scalar of a flat-JSON field block.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Value {
+    /// An unsigned integer.
+    U64(u64),
+    /// A float (written round-trip exact, always distinguishable from
+    /// integers).
+    F64(f64),
+    /// A boolean.
+    Bool(bool),
+    /// A label (written escaped and quoted).
+    Str(&'static str),
+}
+
+impl Value {
+    fn json(self) -> String {
+        match self {
+            Value::U64(v) => v.to_string(),
+            Value::F64(v) => fmt_f64(v),
+            Value::Bool(v) => v.to_string(),
+            Value::Str(v) => format!("\"{}\"", escape(v)),
+        }
+    }
+
+    /// The value as one fingerprint word: integers as themselves, floats
+    /// by bit pattern, labels by a checksum of their bytes.
+    pub(crate) fn word(self) -> u64 {
+        match self {
+            Value::U64(v) => v,
+            Value::F64(v) => v.to_bits(),
+            Value::Bool(v) => u64::from(v),
+            Value::Str(v) => tcw_sim::snap::checksum(&v.bytes().map(u64::from).collect::<Vec<_>>()),
+        }
+    }
+}
+
+/// The fault- and churn-plan fields of every replay artifact, in the
+/// order the committed artifacts carry them; [`read_plans`] reads them
+/// back. The destructuring patterns make a new plan field a compile
+/// error here until it is encoded.
+pub(crate) fn plan_fields(plan: &FaultPlan, churn: &ChurnPlan) -> [(&'static str, Value); 16] {
+    use Value::{F64, U64};
+    let FaultPlan {
+        success_to_collision,
+        collision_to_success,
+        collision_to_idle,
+        idle_to_collision,
+        erasure,
+        deafness,
+        deaf_slots,
+    } = *plan;
+    let ChurnPlan {
+        crash,
+        down_slots,
+        late_join_frac,
+        join_slot,
+        leave_frac,
+        leave_slot,
+        catch_up_slots,
+        outage_start_slot,
+        outage_slots,
+    } = *churn;
+    [
+        ("success_to_collision", F64(success_to_collision)),
+        ("collision_to_success", F64(collision_to_success)),
+        ("collision_to_idle", F64(collision_to_idle)),
+        ("idle_to_collision", F64(idle_to_collision)),
+        ("erasure", F64(erasure)),
+        ("deafness", F64(deafness)),
+        ("deaf_slots", U64(deaf_slots)),
+        ("crash", F64(crash)),
+        ("down_slots", U64(down_slots)),
+        ("late_join_frac", F64(late_join_frac)),
+        ("join_slot", U64(join_slot)),
+        ("leave_frac", F64(leave_frac)),
+        ("leave_slot", U64(leave_slot)),
+        ("catch_up_slots", U64(catch_up_slots)),
+        ("outage_start_slot", U64(outage_start_slot)),
+        ("outage_slots", U64(outage_slots)),
+    ]
+}
+
+/// Reads the plans [`plan_fields`] wrote, rejecting out-of-range values:
+/// a corrupted plan would replay a different timeline.
+pub(crate) fn read_plans(r: &ArtifactReader) -> Result<(FaultPlan, ChurnPlan), String> {
+    let plan = FaultPlan {
+        success_to_collision: r.f64("success_to_collision")?,
+        collision_to_success: r.f64("collision_to_success")?,
+        collision_to_idle: r.f64("collision_to_idle")?,
+        idle_to_collision: r.f64("idle_to_collision")?,
+        erasure: r.f64("erasure")?,
+        deafness: r.f64("deafness")?,
+        deaf_slots: r.u64("deaf_slots")?,
+    };
+    plan.check()
+        .map_err(|e| format!("corrupted fault plan: {e}"))?;
+    let churn = ChurnPlan {
+        crash: r.f64("crash")?,
+        down_slots: r.u64("down_slots")?,
+        late_join_frac: r.f64("late_join_frac")?,
+        join_slot: r.u64("join_slot")?,
+        leave_frac: r.f64("leave_frac")?,
+        leave_slot: r.u64("leave_slot")?,
+        catch_up_slots: r.u64("catch_up_slots")?,
+        outage_start_slot: r.u64("outage_start_slot")?,
+        outage_slots: r.u64("outage_slots")?,
+    };
+    churn
+        .check()
+        .map_err(|e| format!("corrupted churn plan: {e}"))?;
+    Ok((plan, churn))
+}
+
 /// Incremental writer for the flat-JSON artifact envelope shared by every
 /// record/replay binary (`robustness`, `churn`, `adaptive`, `chaos`).
 ///
@@ -122,20 +239,22 @@ impl ArtifactWriter {
         self.out.push_str(&format!("  \"{key}\": {value},\n"));
     }
 
+    /// Appends a block of fields in order.
+    pub(crate) fn fields(&mut self, fields: &[(&str, Value)]) {
+        for &(key, value) in fields {
+            self.raw(key, &value.json());
+        }
+    }
+
     /// Appends an unsigned integer field.
     pub fn u64(&mut self, key: &str, value: u64) {
-        self.raw(key, &value.to_string());
+        self.raw(key, &Value::U64(value).json());
     }
 
     /// Appends a float field (round-trip exact, always distinguishable
     /// from integers).
     pub fn f64(&mut self, key: &str, value: f64) {
-        self.raw(key, &fmt_f64(value));
-    }
-
-    /// Appends a boolean field.
-    pub fn bool(&mut self, key: &str, value: bool) {
-        self.raw(key, if value { "true" } else { "false" });
+        self.raw(key, &Value::F64(value).json());
     }
 
     /// Appends an escaped, quoted string field.
@@ -242,50 +361,41 @@ pub fn load_artifact(path: &Path) -> Result<String, String> {
 }
 
 impl FailureRecord {
-    /// Serializes the record as one flat JSON object.
+    /// A record of `kind` and `detail` for the run `sc` describes.
+    pub fn new(sc: &Scenario, kind: impl Into<String>, detail: impl Into<String>) -> Self {
+        FailureRecord {
+            seed: sc.seed,
+            plan: sc.plan,
+            churn: sc.churn,
+            panel: sc.panel,
+            policy: sc.policy,
+            k_tau: sc.k_tau,
+            settings: sc.settings,
+            kind: kind.into(),
+            detail: detail.into(),
+        }
+    }
+
+    /// The run the record describes.
+    pub fn scenario(&self) -> Scenario {
+        Scenario {
+            panel: self.panel,
+            policy: self.policy,
+            k_tau: self.k_tau,
+            settings: self.settings,
+            seed: self.seed,
+            plan: self.plan,
+            churn: self.churn,
+        }
+    }
+
+    /// Serializes the record as one flat JSON object: the scenario's
+    /// canonical field block, then the observed failure.
     pub fn to_json(&self) -> String {
         let mut w = ArtifactWriter::new(None);
-        let out = &mut w;
-        let mut field = |key: &str, value: String| {
-            out.raw(key, &value);
-        };
-        field("seed", self.seed.to_string());
-        field(
-            "success_to_collision",
-            fmt_f64(self.plan.success_to_collision),
-        );
-        field(
-            "collision_to_success",
-            fmt_f64(self.plan.collision_to_success),
-        );
-        field("collision_to_idle", fmt_f64(self.plan.collision_to_idle));
-        field("idle_to_collision", fmt_f64(self.plan.idle_to_collision));
-        field("erasure", fmt_f64(self.plan.erasure));
-        field("deafness", fmt_f64(self.plan.deafness));
-        field("deaf_slots", self.plan.deaf_slots.to_string());
-        field("crash", fmt_f64(self.churn.crash));
-        field("down_slots", self.churn.down_slots.to_string());
-        field("late_join_frac", fmt_f64(self.churn.late_join_frac));
-        field("join_slot", self.churn.join_slot.to_string());
-        field("leave_frac", fmt_f64(self.churn.leave_frac));
-        field("leave_slot", self.churn.leave_slot.to_string());
-        field("catch_up_slots", self.churn.catch_up_slots.to_string());
-        field(
-            "outage_start_slot",
-            self.churn.outage_start_slot.to_string(),
-        );
-        field("outage_slots", self.churn.outage_slots.to_string());
-        field("rho_prime", fmt_f64(self.panel.rho_prime));
-        field("m", self.panel.m.to_string());
-        field("policy", format!("\"{}\"", self.policy.label()));
-        field("k_tau", fmt_f64(self.k_tau));
-        field("ticks_per_tau", self.settings.ticks_per_tau.to_string());
-        field("messages", self.settings.messages.to_string());
-        field("warmup", self.settings.warmup.to_string());
-        field("stations", self.settings.stations.to_string());
-        field("guard", self.settings.guard.to_string());
-        field("kind", format!("\"{}\"", escape(&self.kind)));
-        field("detail", format!("\"{}\"", escape(&self.detail)));
+        self.scenario().write_fields(&mut w);
+        w.str("kind", &self.kind);
+        w.str("detail", &self.detail);
         w.finish()
     }
 
@@ -297,61 +407,8 @@ impl FailureRecord {
     /// report a spurious divergence.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let r = ArtifactReader::parse(text, None)?;
-        let num = |key: &str| -> Result<f64, String> { r.f64(key) };
-        let int = |key: &str| -> Result<u64, String> { r.u64(key) };
-        let string = |key: &str| -> Result<String, String> { r.str(key) };
-        let policy = match string("policy")?.as_str() {
-            "controlled" => PolicyKind::Controlled,
-            "fcfs" => PolicyKind::Fcfs,
-            "lcfs" => PolicyKind::Lcfs,
-            "random" => PolicyKind::Random,
-            other => return Err(format!("unknown policy {other:?}")),
-        };
-        let plan = FaultPlan {
-            success_to_collision: num("success_to_collision")?,
-            collision_to_success: num("collision_to_success")?,
-            collision_to_idle: num("collision_to_idle")?,
-            idle_to_collision: num("idle_to_collision")?,
-            erasure: num("erasure")?,
-            deafness: num("deafness")?,
-            deaf_slots: int("deaf_slots")?,
-        };
-        plan.check()
-            .map_err(|e| format!("corrupted fault plan: {e}"))?;
-        let churn = ChurnPlan {
-            crash: num("crash")?,
-            down_slots: int("down_slots")?,
-            late_join_frac: num("late_join_frac")?,
-            join_slot: int("join_slot")?,
-            leave_frac: num("leave_frac")?,
-            leave_slot: int("leave_slot")?,
-            catch_up_slots: int("catch_up_slots")?,
-            outage_start_slot: int("outage_start_slot")?,
-            outage_slots: int("outage_slots")?,
-        };
-        churn
-            .check()
-            .map_err(|e| format!("corrupted churn plan: {e}"))?;
-        Ok(FailureRecord {
-            seed: int("seed")?,
-            plan,
-            churn,
-            panel: Panel {
-                rho_prime: num("rho_prime")?,
-                m: int("m")?,
-            },
-            policy,
-            k_tau: num("k_tau")?,
-            settings: SimSettings {
-                ticks_per_tau: int("ticks_per_tau")?,
-                messages: int("messages")?,
-                warmup: int("warmup")?,
-                stations: int("stations")? as u32,
-                guard: r.bool_or("guard", false),
-            },
-            kind: string("kind")?,
-            detail: string("detail")?,
-        })
+        let sc = Scenario::read_fields(&r)?;
+        Ok(FailureRecord::new(&sc, r.str("kind")?, r.str("detail")?))
     }
 
     /// Writes the record to `path`, creating parent directories.
@@ -384,44 +441,49 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// injects receive deafness or a churn listener outage; a detected
 /// divergence is itself a reportable failure.
 pub fn execute(rec: &FailureRecord) -> (String, String) {
-    let run = || -> (String, String) {
-        if rec.plan.deafness > 0.0 || rec.churn.outage_slots > 0 {
-            let (point, det) = simulate_churn_with_detector(
-                rec.panel,
-                rec.policy,
-                rec.k_tau,
-                rec.settings,
-                rec.seed,
-                rec.plan,
-                rec.churn,
-            );
-            match det.first_divergence {
+    let sc = &rec.scenario();
+    let attempt = || -> (String, String) {
+        if sc.plan.deafness > 0.0 || sc.churn.outage_slots > 0 {
+            let mut det = sc.detector();
+            let out = run(sc, &mut det, None);
+            match det.first_divergence() {
                 Some(first) => (
                     "divergence".to_string(),
                     format!(
                         "station 0 diverged {} time(s) ({} slots missed, {} resyncs, {} churn repair(s)); first: {first}",
-                        det.divergences, det.dropped_slots, det.resyncs, det.churn_repairs
+                        det.divergences(), det.dropped_slots(), det.resyncs(), det.churn_repairs()
                     ),
                 ),
-                None => ("ok".to_string(), format!("loss={:.6}", point.point.loss)),
+                None => ("ok".to_string(), format!("loss={:.6}", out.point.loss)),
             }
         } else {
-            let p = simulate_churn(
-                rec.panel,
-                rec.policy,
-                rec.k_tau,
-                rec.settings,
-                rec.seed,
-                rec.plan,
-                rec.churn,
-            );
-            ("ok".to_string(), format!("loss={:.6}", p.point.loss))
+            let out = run(sc, &mut NoopObserver, None);
+            ("ok".to_string(), format!("loss={:.6}", out.point.loss))
         }
     };
-    match catch_unwind(AssertUnwindSafe(run)) {
+    match catch_unwind(AssertUnwindSafe(attempt)) {
         Ok(outcome) => outcome,
         Err(payload) => ("panic".to_string(), panic_message(payload)),
     }
+}
+
+/// Runs a showcase scenario of the `tool` binary and returns its report
+/// lines: the run's summary when nothing failed, otherwise the failure
+/// with the path of the replay artifact written to `path(kind)` and the
+/// command that replays it.
+pub fn showcase(tool: &str, sc: &Scenario, path: impl FnOnce(&str) -> PathBuf) -> String {
+    let mut rec = FailureRecord::new(sc, "", "");
+    (rec.kind, rec.detail) = execute(&rec);
+    if rec.kind == "ok" {
+        return format!("  station 0 never diverged ({})", rec.detail);
+    }
+    let path = path(&rec.kind);
+    rec.save(&path).expect("write replay artifact");
+    let path = path.display();
+    format!(
+        "  [{}] {}\n  replay artifact: {path}\n  reproduce: cargo run --release -p tcw-experiments --bin {tool} -- --replay {path}",
+        rec.kind, rec.detail
+    )
 }
 
 /// Replays an artifact and returns the process exit code, following the

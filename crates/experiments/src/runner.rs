@@ -1,14 +1,22 @@
-//! Protocol-simulation runners for the Figure-7 panels.
+//! The simulation runner of the Figure-7 model.
+//!
+//! A [`Scenario`] names one simulated point completely — panel, protocol
+//! variant, deadline, simulation size, seed, fault and churn plans — and
+//! [`run`] executes it with any observer and metric sink attached,
+//! returning one [`Outcome`]. Sweep grids, replay artifacts, tests,
+//! benches and examples all describe their runs as scenarios.
 
 use crate::panels::Panel;
+use crate::replay::{plan_fields, read_plans, ArtifactReader, ArtifactWriter, Value};
 use tcw_mac::{ChannelConfig, ChurnPlan, FaultPlan, PoissonArrivals};
+use tcw_sim::stats::MetricSink;
 use tcw_sim::time::{Dur, Time};
 use tcw_window::analysis::optimal_mu;
-use tcw_window::engine::{poisson_engine, Engine};
+use tcw_window::engine::{poisson_engine, Engine, HorizonStats};
 use tcw_window::metrics::MeasureConfig;
 use tcw_window::mirror::DivergenceDetector;
 use tcw_window::policy::ControlPolicy;
-use tcw_window::trace::NoopObserver;
+use tcw_window::trace::EngineObserver;
 
 /// Which protocol variant to simulate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,6 +41,13 @@ impl PolicyKind {
             PolicyKind::Lcfs => "lcfs",
             PolicyKind::Random => "random",
         }
+    }
+
+    /// The variant a [`PolicyKind::label`] names.
+    pub fn parse(label: &str) -> Option<Self> {
+        [Self::Controlled, Self::Fcfs, Self::Lcfs, Self::Random]
+            .into_iter()
+            .find(|k| k.label() == label)
     }
 }
 
@@ -136,30 +151,14 @@ pub struct ChurnCounters {
     pub rejoin_max_slots: f64,
 }
 
-/// A [`FaultSimPoint`] together with the churn counters of the run.
-#[derive(Clone, Copy, Debug)]
-pub struct ChurnSimPoint {
-    /// The conventional measurements.
-    pub point: SimPoint,
-    /// Fault/degradation counters.
-    pub faults: FaultCounters,
-    /// Membership/recovery counters.
-    pub churn: ChurnCounters,
-    /// Event-horizon fast-path counters (telemetry only — excluded from
-    /// equivalence fingerprints; sweeps feed them into the live progress
-    /// line's `[hzn: ...]` segment).
-    pub horizon: tcw_window::engine::HorizonStats,
-}
-
 /// Converts the message-count knobs into the measurement window at
 /// offered rate `lambda` (messages per `tau`): warm up for
 /// `settings.warmup` expected messages, then measure for
 /// `settings.messages` expected messages.
 ///
-/// Every run that measures loss goes through this helper — the panel
-/// runners and the failure-replay path via [`build_engine`], and the
-/// ablation binary directly — so "the window where metrics count" is
-/// defined exactly once.
+/// Every run that measures loss goes through this helper — [`run`] and
+/// the ablation binary — so "the window where metrics count" is defined
+/// exactly once.
 pub fn measure_window(lambda: f64, settings: SimSettings, deadline: Dur) -> MeasureConfig {
     let ticks_per_msg = settings.ticks_per_tau as f64 / lambda;
     let warmup_end = (settings.warmup as f64 * ticks_per_msg) as u64;
@@ -190,8 +189,8 @@ pub fn run_horizon(measure: MeasureConfig, ticks_per_tau: u64) -> Time {
 pub fn run_to_horizon<S: tcw_mac::ArrivalSource>(
     eng: &mut Engine<S>,
     horizon: Time,
-    obs: &mut dyn tcw_window::trace::EngineObserver,
-    sink: Option<&mut dyn tcw_sim::stats::MetricSink>,
+    obs: &mut dyn EngineObserver,
+    sink: Option<&mut dyn MetricSink>,
 ) {
     eng.run_until(horizon, obs);
     eng.drain(obs);
@@ -200,185 +199,6 @@ pub fn run_to_horizon<S: tcw_mac::ArrivalSource>(
         eng.channel_stats.emit(sink);
         eng.churn().emit(sink);
         eng.horizon_stats.emit(sink);
-    }
-}
-
-/// Builds the engine for one panel point; returns it with the run horizon
-/// and the policy (so observers needing the shared policy/seed can be
-/// constructed alongside).
-fn build_engine(
-    panel: Panel,
-    kind: PolicyKind,
-    k_tau: f64,
-    settings: SimSettings,
-    seed: u64,
-) -> (Engine<PoissonArrivals>, Time, ControlPolicy) {
-    let channel = ChannelConfig {
-        ticks_per_tau: settings.ticks_per_tau,
-        message_slots: panel.m,
-        guard: settings.guard,
-    };
-    let lambda = panel.lambda(); // per tau
-    let w_star_tau = optimal_mu() / lambda;
-    let w = Dur::from_ticks(
-        (w_star_tau * settings.ticks_per_tau as f64)
-            .round()
-            .max(1.0) as u64,
-    );
-    let k = Dur::from_ticks((k_tau * settings.ticks_per_tau as f64).round() as u64);
-
-    let policy = match kind {
-        PolicyKind::Controlled => ControlPolicy::controlled(k, w),
-        PolicyKind::Fcfs => ControlPolicy::fcfs(w),
-        PolicyKind::Lcfs => ControlPolicy::lcfs(w),
-        PolicyKind::Random => ControlPolicy::random(w),
-    };
-
-    let measure = measure_window(lambda, settings, k);
-    let horizon = run_horizon(measure, settings.ticks_per_tau);
-    let eng = poisson_engine(
-        channel,
-        policy.clone(),
-        measure,
-        panel.rho_prime,
-        settings.stations,
-        seed,
-    );
-    (eng, horizon, policy)
-}
-
-/// Collects the measured point from a finished engine, asserting the
-/// run-level invariants (full drain, conservation of channel time).
-fn collect_point(eng: &Engine<PoissonArrivals>, k_tau: f64, settings: SimSettings) -> SimPoint {
-    assert_eq!(
-        eng.metrics.outstanding(),
-        0,
-        "unresolved messages after drain"
-    );
-    assert_eq!(
-        eng.channel_stats.total().ticks(),
-        eng.now().ticks(),
-        "channel time not conserved"
-    );
-    let offered = eng.metrics.offered();
-    SimPoint {
-        k: k_tau,
-        loss: eng.metrics.loss_fraction(),
-        ci95: eng.metrics.loss_ci95(),
-        sender_loss: if offered == 0 {
-            0.0
-        } else {
-            eng.metrics.sender_lost() as f64 / offered as f64
-        },
-        sched_time_mean: eng.metrics.sched_time().mean() / settings.ticks_per_tau as f64,
-        round_overhead_mean: eng.metrics.sched_slots().mean(),
-        utilization: eng.channel_stats.utilization(),
-        offered,
-    }
-}
-
-fn collect_faults(eng: &Engine<PoissonArrivals>) -> FaultCounters {
-    FaultCounters {
-        corrupted_slots: eng.metrics.corrupted_slots(),
-        erased_slots: eng.metrics.erased_slots(),
-        resyncs: eng.metrics.resyncs(),
-        rounds_abandoned: eng.metrics.rounds_abandoned(),
-        reopened: eng.metrics.reopened(),
-        fault_losses: eng.metrics.fault_losses(),
-    }
-}
-
-fn collect_churn(eng: &Engine<PoissonArrivals>) -> ChurnCounters {
-    let process = eng.churn();
-    let rejoin = eng.metrics.rejoin_latency();
-    ChurnCounters {
-        crashes: process.crashes(),
-        restarts: process.restarts(),
-        joins: process.joins(),
-        leaves: process.leaves(),
-        blocked: eng.metrics.churn_blocked(),
-        losses: eng.metrics.churn_losses(),
-        reopened: eng.metrics.churn_reopened(),
-        rejoin_mean_slots: rejoin.mean(),
-        rejoin_max_slots: if rejoin.count() == 0 {
-            0.0
-        } else {
-            rejoin.max()
-        },
-    }
-}
-
-/// Runs one protocol simulation at deadline `k_tau` (units of `tau`) and
-/// returns the measured point.
-///
-/// The window length follows the §4.1 heuristic at the offered rate:
-/// `w* = mu* / lambda` (same value the analytic marching uses).
-pub fn simulate_panel(
-    panel: Panel,
-    kind: PolicyKind,
-    k_tau: f64,
-    settings: SimSettings,
-    seed: u64,
-) -> SimPoint {
-    // With both plans none this is bit-identical to a fault-free build.
-    let (plan, churn) = (FaultPlan::none(), ChurnPlan::none());
-    simulate_churn(panel, kind, k_tau, settings, seed, plan, churn).point
-}
-
-/// Runs one panel point with both a [`FaultPlan`] and a [`ChurnPlan`]
-/// (stations crash, restart, join late and leave while the protocol
-/// runs).
-pub fn simulate_churn(
-    panel: Panel,
-    kind: PolicyKind,
-    k_tau: f64,
-    settings: SimSettings,
-    seed: u64,
-    plan: FaultPlan,
-    churn: ChurnPlan,
-) -> ChurnSimPoint {
-    simulate_churn_observed(
-        panel,
-        kind,
-        k_tau,
-        settings,
-        seed,
-        plan,
-        churn,
-        &mut NoopObserver,
-        None,
-    )
-}
-
-/// [`simulate_churn`] with telemetry attached: protocol events stream to
-/// `obs` during the run, and after the final drain the engine's metrics,
-/// channel accounting and churn process register themselves with `sink`
-/// (when one is given).
-///
-/// Observers and sinks are strictly passive — they receive data but never
-/// draw from an RNG stream — so the simulated result is bit-identical to
-/// [`simulate_churn`] regardless of what is attached.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_churn_observed(
-    panel: Panel,
-    kind: PolicyKind,
-    k_tau: f64,
-    settings: SimSettings,
-    seed: u64,
-    plan: FaultPlan,
-    churn: ChurnPlan,
-    obs: &mut dyn tcw_window::trace::EngineObserver,
-    sink: Option<&mut dyn tcw_sim::stats::MetricSink>,
-) -> ChurnSimPoint {
-    let (mut eng, horizon, _policy) = build_engine(panel, kind, k_tau, settings, seed);
-    eng.set_fault_plan(plan);
-    eng.set_churn_plan(churn, settings.stations);
-    run_to_horizon(&mut eng, horizon, obs, sink);
-    ChurnSimPoint {
-        point: collect_point(&eng, k_tau, settings),
-        faults: collect_faults(&eng),
-        churn: collect_churn(&eng),
-        horizon: eng.horizon_stats,
     }
 }
 
@@ -404,111 +224,293 @@ pub struct AoiPoint {
     pub stations_observed: u64,
 }
 
-/// Collects the AoI summary from a finished engine.
-fn collect_aoi(eng: &Engine<PoissonArrivals>, k_tau: f64, settings: SimSettings) -> AoiPoint {
-    let aoi = eng.metrics.aoi();
-    let tpt = settings.ticks_per_tau as f64;
-    AoiPoint {
-        k: k_tau,
-        mean_age_tau: aoi.mean_age().unwrap_or(0.0) / tpt,
-        peak_age_tau: aoi.peak_age().mean() / tpt,
-        violation: aoi.violation_fraction().unwrap_or(0.0),
-        deliveries: aoi.deliveries(),
-        stations_observed: aoi.stations_observed(),
+/// Everything one [`run`] measured.
+#[derive(Clone, Copy, Debug)]
+pub struct Outcome {
+    /// The conventional measurements.
+    pub point: SimPoint,
+    /// Fault/degradation counters.
+    pub faults: FaultCounters,
+    /// Membership/recovery counters.
+    pub churn: ChurnCounters,
+    /// The Age-of-Information summary.
+    pub aoi: AoiPoint,
+    /// Event-horizon fast-path counters (telemetry only — excluded from
+    /// equivalence fingerprints; sweeps feed them into the live progress
+    /// line's `[hzn: ...]` segment).
+    pub horizon: HorizonStats,
+}
+
+/// One point of the Figure-7 model: a panel, a protocol variant, a
+/// deadline, the simulation size, a master seed, and the injected fault
+/// and churn plans. Every random draw of a run derives from the seed, so
+/// running a scenario is a pure function of its value.
+///
+/// Its canonical encoding is one ordered field list: the body of a
+/// [`crate::replay::FailureRecord`] artifact and the words of
+/// [`Scenario::grid_fingerprint`] (the resume-journal key of a sweep).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Scenario {
+    /// Workload panel (offered load and message length).
+    pub panel: Panel,
+    /// Protocol variant.
+    pub policy: PolicyKind,
+    /// Deadline in units of `tau`.
+    pub k_tau: f64,
+    /// Simulation-size knobs.
+    pub settings: SimSettings,
+    /// Master seed of the run.
+    pub seed: u64,
+    /// Injected fault plan ([`FaultPlan::none`] is bit-identical to a
+    /// fault-free build).
+    pub plan: FaultPlan,
+    /// Injected churn plan ([`ChurnPlan::none`] is bit-identical to a
+    /// static population).
+    pub churn: ChurnPlan,
+}
+
+impl Scenario {
+    /// A fault- and churn-free scenario.
+    pub fn clean(
+        panel: Panel,
+        policy: PolicyKind,
+        k_tau: f64,
+        settings: SimSettings,
+        seed: u64,
+    ) -> Self {
+        Scenario {
+            panel,
+            policy,
+            k_tau,
+            settings,
+            seed,
+            plan: FaultPlan::none(),
+            churn: ChurnPlan::none(),
+        }
+    }
+
+    /// The control policy: the deadline `K` in ticks and the §4.1 window
+    /// heuristic at the offered rate, `w* = mu* / lambda` (the value the
+    /// analytic marching uses).
+    fn control_policy(&self) -> ControlPolicy {
+        let w_star_tau = optimal_mu() / self.panel.lambda();
+        let w = Dur::from_ticks(
+            (w_star_tau * self.settings.ticks_per_tau as f64)
+                .round()
+                .max(1.0) as u64,
+        );
+        let k = self.deadline();
+        match self.policy {
+            PolicyKind::Controlled => ControlPolicy::controlled(k, w),
+            PolicyKind::Fcfs => ControlPolicy::fcfs(w),
+            PolicyKind::Lcfs => ControlPolicy::lcfs(w),
+            PolicyKind::Random => ControlPolicy::random(w),
+        }
+    }
+
+    /// The deadline `K` in ticks.
+    fn deadline(&self) -> Dur {
+        Dur::from_ticks((self.k_tau * self.settings.ticks_per_tau as f64).round() as u64)
+    }
+
+    /// The per-station divergence detector of listening station 0, set up
+    /// with the plan's deafness parameters and the churn plan's listener
+    /// outage. Pass it to [`run`] as the observer.
+    pub fn detector(&self) -> DivergenceDetector {
+        let (plan, churn) = (self.plan, self.churn);
+        DivergenceDetector::new(
+            self.control_policy(),
+            self.seed,
+            0,
+            plan.deafness,
+            plan.deaf_slots,
+        )
+        .with_outage(churn.outage_start_slot, churn.outage_slots)
+    }
+
+    /// Builds the scenario's engine, plans installed, with its run horizon.
+    fn engine(&self) -> (Engine<PoissonArrivals>, Time) {
+        let settings = self.settings;
+        let channel = ChannelConfig {
+            ticks_per_tau: settings.ticks_per_tau,
+            message_slots: self.panel.m,
+            guard: settings.guard,
+        };
+        let measure = measure_window(self.panel.lambda(), settings, self.deadline());
+        let mut eng = poisson_engine(
+            channel,
+            self.control_policy(),
+            measure,
+            self.panel.rho_prime,
+            settings.stations,
+            self.seed,
+        );
+        eng.set_fault_plan(self.plan);
+        eng.set_churn_plan(self.churn, settings.stations);
+        (eng, run_horizon(measure, settings.ticks_per_tau))
+    }
+
+    /// The canonical field list, in the order replay artifacts carry it.
+    /// The destructuring patterns make a new field of the scenario or its
+    /// settings a compile error here until it is encoded.
+    fn fields(&self) -> Vec<(&'static str, Value)> {
+        use Value::{Bool, Str, F64, U64};
+        let Scenario {
+            panel: Panel { rho_prime, m },
+            policy,
+            k_tau,
+            settings:
+                SimSettings {
+                    ticks_per_tau,
+                    messages,
+                    warmup,
+                    stations,
+                    guard,
+                },
+            seed,
+            plan,
+            churn,
+        } = *self;
+        let mut fields = vec![("seed", U64(seed))];
+        fields.extend(plan_fields(&plan, &churn));
+        fields.extend([
+            ("rho_prime", F64(rho_prime)),
+            ("m", U64(m)),
+            ("policy", Str(policy.label())),
+            ("k_tau", F64(k_tau)),
+            ("ticks_per_tau", U64(ticks_per_tau)),
+            ("messages", U64(messages)),
+            ("warmup", U64(warmup)),
+            ("stations", U64(u64::from(stations))),
+            ("guard", Bool(guard)),
+        ]);
+        fields
+    }
+
+    /// Writes the canonical field block into a replay artifact.
+    pub(crate) fn write_fields(&self, w: &mut ArtifactWriter) {
+        w.fields(&self.fields());
+    }
+
+    /// Reads back a field block written by [`Scenario::write_fields`],
+    /// rejecting unknown policies and out-of-range plans.
+    pub(crate) fn read_fields(r: &ArtifactReader) -> Result<Self, String> {
+        let policy = r.str("policy")?;
+        let policy =
+            PolicyKind::parse(&policy).ok_or_else(|| format!("unknown policy {policy:?}"))?;
+        let (plan, churn) = read_plans(r)?;
+        Ok(Scenario {
+            panel: Panel {
+                rho_prime: r.f64("rho_prime")?,
+                m: r.u64("m")?,
+            },
+            policy,
+            k_tau: r.f64("k_tau")?,
+            settings: SimSettings {
+                ticks_per_tau: r.u64("ticks_per_tau")?,
+                messages: r.u64("messages")?,
+                warmup: r.u64("warmup")?,
+                stations: r.u64("stations")? as u32,
+                guard: r.bool_or("guard", false),
+            },
+            seed: r.u64("seed")?,
+            plan,
+            churn,
+        })
+    }
+
+    /// The resume-journal fingerprint of a sweep grid: every field of
+    /// every cell, in cell order. Any edit to a grid value (or to the
+    /// order of the cells) changes it, so a journal written for another
+    /// grid is rejected as stale instead of resumed.
+    pub fn grid_fingerprint(cells: &[Scenario]) -> u64 {
+        let mut words = vec![cells.len() as u64];
+        for cell in cells {
+            words.extend(cell.fields().iter().map(|(_, v)| v.word()));
+        }
+        tcw_sim::snap::checksum(&words)
     }
 }
 
-/// One AoI run: conventional measurements, the AoI summary and the
-/// event-horizon counters of the run that produced them.
-#[derive(Clone, Copy, Debug)]
-pub struct AoiRun {
-    /// The conventional measurements.
-    pub point: SimPoint,
-    /// The Age-of-Information summary.
-    pub aoi: AoiPoint,
-    /// Event-horizon fast-path counters (telemetry only).
-    pub horizon: tcw_window::engine::HorizonStats,
-}
-
-/// Runs one clean panel point and returns the conventional measurements
-/// together with the Age-of-Information summary, with telemetry attached;
-/// the observer and sink are strictly passive, so the measured result is
-/// bit-identical with or without them.
-pub fn simulate_aoi_observed(
-    panel: Panel,
-    kind: PolicyKind,
-    k_tau: f64,
-    settings: SimSettings,
-    seed: u64,
-    obs: &mut dyn tcw_window::trace::EngineObserver,
-    sink: Option<&mut dyn tcw_sim::stats::MetricSink>,
-) -> AoiRun {
-    let (mut eng, horizon, _policy) = build_engine(panel, kind, k_tau, settings, seed);
+/// Runs one scenario to completion: protocol events stream to `obs`
+/// during the run and, after the final drain, the engine's accounting
+/// registers itself with `sink` (when one is given).
+///
+/// Observers and sinks are strictly passive — they receive data but never
+/// draw from an RNG stream — so the outcome is bit-identical whatever is
+/// attached.
+pub fn run(
+    sc: &Scenario,
+    obs: &mut dyn EngineObserver,
+    sink: Option<&mut dyn MetricSink>,
+) -> Outcome {
+    let (mut eng, horizon) = sc.engine();
     run_to_horizon(&mut eng, horizon, obs, sink);
-    AoiRun {
-        point: collect_point(&eng, k_tau, settings),
-        aoi: collect_aoi(&eng, k_tau, settings),
+    let (m, tpt) = (&eng.metrics, sc.settings.ticks_per_tau as f64);
+    assert_eq!(m.outstanding(), 0, "unresolved messages after drain");
+    assert_eq!(
+        eng.channel_stats.total().ticks(),
+        eng.now().ticks(),
+        "channel time not conserved"
+    );
+    let offered = m.offered();
+    let process = eng.churn();
+    let rejoin = m.rejoin_latency();
+    let aoi = m.aoi();
+    Outcome {
+        point: SimPoint {
+            k: sc.k_tau,
+            loss: m.loss_fraction(),
+            ci95: m.loss_ci95(),
+            sender_loss: if offered == 0 {
+                0.0
+            } else {
+                m.sender_lost() as f64 / offered as f64
+            },
+            sched_time_mean: m.sched_time().mean() / tpt,
+            round_overhead_mean: m.sched_slots().mean(),
+            utilization: eng.channel_stats.utilization(),
+            offered,
+        },
+        faults: FaultCounters {
+            corrupted_slots: m.corrupted_slots(),
+            erased_slots: m.erased_slots(),
+            resyncs: m.resyncs(),
+            rounds_abandoned: m.rounds_abandoned(),
+            reopened: m.reopened(),
+            fault_losses: m.fault_losses(),
+        },
+        churn: ChurnCounters {
+            crashes: process.crashes(),
+            restarts: process.restarts(),
+            joins: process.joins(),
+            leaves: process.leaves(),
+            blocked: m.churn_blocked(),
+            losses: m.churn_losses(),
+            reopened: m.churn_reopened(),
+            rejoin_mean_slots: rejoin.mean(),
+            rejoin_max_slots: if rejoin.count() == 0 {
+                0.0
+            } else {
+                rejoin.max()
+            },
+        },
+        aoi: AoiPoint {
+            k: sc.k_tau,
+            mean_age_tau: aoi.mean_age().unwrap_or(0.0) / tpt,
+            peak_age_tau: aoi.peak_age().mean() / tpt,
+            violation: aoi.violation_fraction().unwrap_or(0.0),
+            deliveries: aoi.deliveries(),
+            stations_observed: aoi.stations_observed(),
+        },
         horizon: eng.horizon_stats,
     }
 }
-
-/// Outcome of a run observed through the per-station
-/// [`DivergenceDetector`].
-#[derive(Clone, Debug)]
-pub struct DetectorReport {
-    /// Divergences the detector caught at decision-point beacons.
-    pub divergences: u64,
-    /// Resynchronizations performed.
-    pub resyncs: u64,
-    /// Channel slots the deaf (or down) station missed.
-    pub dropped_slots: u64,
-    /// Resyncs attributable to a churn outage (cold rejoins).
-    pub churn_repairs: u64,
-    /// Description of the first divergence, if any.
-    pub first_divergence: Option<String>,
-}
-
-/// Runs one panel point with fault and churn plans while listening
-/// station 0 tracks the run through a [`DivergenceDetector`] configured
-/// with the plan's deafness parameters and the churn plan's listener
-/// outage span.
-pub fn simulate_churn_with_detector(
-    panel: Panel,
-    kind: PolicyKind,
-    k_tau: f64,
-    settings: SimSettings,
-    seed: u64,
-    plan: FaultPlan,
-    churn: ChurnPlan,
-) -> (ChurnSimPoint, DetectorReport) {
-    let (mut eng, horizon, policy) = build_engine(panel, kind, k_tau, settings, seed);
-    eng.set_fault_plan(plan);
-    eng.set_churn_plan(churn, settings.stations);
-    let mut det = DivergenceDetector::new(policy, seed, 0, plan.deafness, plan.deaf_slots)
-        .with_outage(churn.outage_start_slot, churn.outage_slots);
-    run_to_horizon(&mut eng, horizon, &mut det, None);
-    let report = DetectorReport {
-        divergences: det.divergences(),
-        resyncs: det.resyncs(),
-        dropped_slots: det.dropped_slots(),
-        churn_repairs: det.churn_repairs(),
-        first_divergence: det.first_divergence().map(|s| s.to_string()),
-    };
-    (
-        ChurnSimPoint {
-            point: collect_point(&eng, k_tau, settings),
-            faults: collect_faults(&eng),
-            churn: collect_churn(&eng),
-            horizon: eng.horizon_stats,
-        },
-        report,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::panels::PANELS;
+    use tcw_window::trace::NoopObserver;
 
     fn quick() -> SimSettings {
         SimSettings {
@@ -519,11 +521,16 @@ mod tests {
         }
     }
 
+    fn point(panel: Panel, kind: PolicyKind, k: f64, seed: u64) -> SimPoint {
+        let sc = Scenario::clean(panel, kind, k, quick(), seed);
+        run(&sc, &mut NoopObserver, None).point
+    }
+
     #[test]
     fn controlled_loss_decreases_with_k() {
         let panel = PANELS[4]; // rho' = 0.75, M = 25
-        let p_small = simulate_panel(panel, PolicyKind::Controlled, 25.0, quick(), 1);
-        let p_large = simulate_panel(panel, PolicyKind::Controlled, 400.0, quick(), 1);
+        let p_small = point(panel, PolicyKind::Controlled, 25.0, 1);
+        let p_large = point(panel, PolicyKind::Controlled, 400.0, 1);
         assert!(
             p_large.loss < p_small.loss,
             "loss did not decrease: {} -> {}",
@@ -537,8 +544,8 @@ mod tests {
     fn controlled_beats_fcfs_at_tight_k() {
         let panel = PANELS[4];
         let k = 100.0;
-        let c = simulate_panel(panel, PolicyKind::Controlled, k, quick(), 2);
-        let f = simulate_panel(panel, PolicyKind::Fcfs, k, quick(), 2);
+        let c = point(panel, PolicyKind::Controlled, k, 2);
+        let f = point(panel, PolicyKind::Fcfs, k, 2);
         assert!(c.loss < f.loss, "controlled {} !< fcfs {}", c.loss, f.loss);
     }
 
@@ -552,7 +559,7 @@ mod tests {
         let mut bm = tcw_sim::stats::BatchMeans::new(1);
         for r in 0..4 {
             let seed = tcw_sim::rng::stream_seed(9, r);
-            bm.record(simulate_panel(panel, PolicyKind::Controlled, k, quick(), seed).loss);
+            bm.record(point(panel, PolicyKind::Controlled, k, seed).loss);
         }
         let (loss, ci95) = (bm.mean(), bm.ci95_half_width().unwrap_or(f64::INFINITY));
         assert!(ci95.is_finite());
@@ -567,8 +574,86 @@ mod tests {
     #[test]
     fn light_load_large_k_loss_is_negligible() {
         let panel = PANELS[0]; // rho' = 0.25, M = 25
-        let p = simulate_panel(panel, PolicyKind::Controlled, 400.0, quick(), 3);
+        let p = point(panel, PolicyKind::Controlled, 400.0, 3);
         assert!(p.loss < 0.01, "loss = {}", p.loss);
         assert!(p.utilization > 0.15 && p.utilization < 0.35);
+    }
+
+    /// Two cells with every field away from its default, so that each
+    /// edit below is a real change.
+    fn grid() -> Vec<Scenario> {
+        let cell = |seed| Scenario {
+            plan: FaultPlan {
+                deafness: 0.01,
+                deaf_slots: 3,
+                ..FaultPlan::uniform(0.02)
+            },
+            churn: ChurnPlan {
+                crash: 0.001,
+                down_slots: 40,
+                late_join_frac: 0.2,
+                join_slot: 2_000,
+                leave_frac: 0.1,
+                leave_slot: 20_000,
+                catch_up_slots: 100,
+                outage_start_slot: 5_000,
+                outage_slots: 64,
+            },
+            ..Scenario::clean(PANELS[4], PolicyKind::Controlled, 100.0, quick(), seed)
+        };
+        vec![cell(1), cell(2)]
+    }
+
+    #[test]
+    fn grid_fingerprint_covers_every_field_and_the_cell_order() {
+        type Edit = fn(&mut Scenario);
+        let edits: [(&str, Edit); 26] = [
+            ("seed", |s| s.seed += 10),
+            ("success_to_collision", |s| {
+                s.plan.success_to_collision = 0.03
+            }),
+            ("collision_to_success", |s| {
+                s.plan.collision_to_success = 0.03
+            }),
+            ("collision_to_idle", |s| s.plan.collision_to_idle = 0.03),
+            ("idle_to_collision", |s| s.plan.idle_to_collision = 0.03),
+            ("erasure", |s| s.plan.erasure = 0.03),
+            ("deafness", |s| s.plan.deafness = 0.02),
+            ("deaf_slots", |s| s.plan.deaf_slots += 1),
+            ("crash", |s| s.churn.crash = 0.002),
+            ("down_slots", |s| s.churn.down_slots += 1),
+            ("late_join_frac", |s| s.churn.late_join_frac = 0.3),
+            ("join_slot", |s| s.churn.join_slot += 1),
+            ("leave_frac", |s| s.churn.leave_frac = 0.2),
+            ("leave_slot", |s| s.churn.leave_slot += 1),
+            ("catch_up_slots", |s| s.churn.catch_up_slots += 1),
+            ("outage_start_slot", |s| s.churn.outage_start_slot += 1),
+            ("outage_slots", |s| s.churn.outage_slots += 1),
+            ("rho_prime", |s| s.panel.rho_prime = 0.5),
+            ("m", |s| s.panel.m = 100),
+            ("policy", |s| s.policy = PolicyKind::Lcfs),
+            ("k_tau", |s| s.k_tau = 200.0),
+            ("ticks_per_tau", |s| s.settings.ticks_per_tau += 1),
+            ("messages", |s| s.settings.messages += 1),
+            ("warmup", |s| s.settings.warmup += 1),
+            ("stations", |s| s.settings.stations += 1),
+            ("guard", |s| s.settings.guard = !s.settings.guard),
+        ];
+        let base = grid();
+        let keys: Vec<&str> = base[0].fields().iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, edits.map(|(k, _)| k), "one edit per canonical field");
+        let fp = Scenario::grid_fingerprint(&base);
+        for (key, edit) in edits {
+            for cell in 0..base.len() {
+                let mut g = base.clone();
+                edit(&mut g[cell]);
+                assert_ne!(g, base, "{key}: the edit changed nothing");
+                let changed = Scenario::grid_fingerprint(&g);
+                assert_ne!(changed, fp, "{key} of cell {cell} is not fingerprinted");
+            }
+        }
+        let reversed: Vec<Scenario> = base.iter().rev().copied().collect();
+        assert_ne!(Scenario::grid_fingerprint(&reversed), fp, "cell order");
+        assert_ne!(Scenario::grid_fingerprint(&base[..1]), fp, "cell count");
     }
 }

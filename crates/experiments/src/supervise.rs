@@ -54,8 +54,10 @@
 use crate::diag;
 use crate::obs::{observe_engine_cell, CellArtifacts, ObsSink, SweepMeta};
 use crate::replay::{
-    load_artifact, panic_message, parse_flat, ArtifactReader, ArtifactWriter, ARTIFACT_VERSION,
+    load_artifact, panic_message, parse_flat, ArtifactReader, ArtifactWriter, FailureRecord,
+    ARTIFACT_VERSION,
 };
+use crate::runner::{run, Outcome, Scenario};
 use crate::sweep::Cli;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -70,7 +72,7 @@ use tcw_window::engine::HorizonStats;
 use tcw_window::trace::EngineObserver;
 
 /// Journal file format version; bumped on any layout change.
-pub const JOURNAL_FORMAT: u64 = 2;
+pub const JOURNAL_FORMAT: u64 = 3;
 
 /// `experiment` tag of the engine-checkpoint artifact envelope.
 pub const SNAPSHOT_EXPERIMENT: &str = "engine-snapshot";
@@ -282,18 +284,20 @@ impl JournalItem for HorizonStats {
     }
 }
 
-impl JournalItem for crate::runner::ChurnSimPoint {
+impl JournalItem for Outcome {
     fn encode(&self, w: &mut SnapWriter) {
         self.point.encode(w);
         self.faults.encode(w);
         self.churn.encode(w);
+        self.aoi.encode(w);
         self.horizon.encode(w);
     }
     fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(crate::runner::ChurnSimPoint {
+        Ok(Outcome {
             point: JournalItem::decode(r)?,
             faults: JournalItem::decode(r)?,
             churn: JournalItem::decode(r)?,
+            aoi: JournalItem::decode(r)?,
             horizon: JournalItem::decode(r)?,
         })
     }
@@ -320,24 +324,6 @@ impl JournalItem for crate::runner::AoiPoint {
             deliveries: r.take()?,
             stations_observed: r.take()?,
         })
-    }
-}
-
-impl JournalItem for crate::runner::AoiRun {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.point.encode(w);
-        self.aoi.encode(w);
-        self.horizon.encode(w);
-    }
-    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(crate::runner::AoiRun {
-            point: JournalItem::decode(r)?,
-            aoi: JournalItem::decode(r)?,
-            horizon: JournalItem::decode(r)?,
-        })
-    }
-    fn horizon(&self) -> Option<HorizonStats> {
-        Some(self.horizon)
     }
 }
 
@@ -1048,6 +1034,35 @@ where
     outcome.into_results().into_iter().map(|(v, _)| v).collect()
 }
 
+/// Runs a sweep grid of [`Scenario`]s through [`supervised_cells`]
+/// under the grid's [`Scenario::grid_fingerprint`], and returns their
+/// outcomes in grid order. `describe` names a cell as in
+/// [`supervised_cells`]; for a cell quarantined after a panic, the
+/// [`FailureRecord`] of the panic is written to `artifact(cell)` when that
+/// gives a path.
+pub fn run_scenarios(
+    cli: &Cli,
+    cells: &[Scenario],
+    describe: impl Fn(&Scenario) -> (String, Vec<(&'static str, String)>),
+    artifact: impl Fn(&Scenario) -> Option<PathBuf>,
+) -> Vec<Outcome> {
+    let grid: Arc<[Scenario]> = cells.into();
+    supervised_cells(
+        cli,
+        cells.len(),
+        Scenario::grid_fingerprint(cells),
+        |i| describe(&cells[i]),
+        |i, message| {
+            let path = artifact(&cells[i])?;
+            FailureRecord::new(&cells[i], "panic", message)
+                .save(&path)
+                .expect("write replay artifact");
+            Some(path)
+        },
+        move |i, obs, sink| run(&grid[i], obs, sink),
+    )
+}
+
 // ---------------------------------------------------------------------------
 // Engine-checkpoint artifact envelope
 
@@ -1552,7 +1567,7 @@ mod tests {
             utilization: 0.75,
             offered: 8_000,
         };
-        let csp = crate::runner::ChurnSimPoint {
+        let csp = crate::runner::Outcome {
             point,
             faults: crate::runner::FaultCounters {
                 corrupted_slots: 1,
@@ -1573,6 +1588,14 @@ mod tests {
                 rejoin_mean_slots: f64::NAN,
                 rejoin_max_slots: 64.0,
             },
+            aoi: crate::runner::AoiPoint {
+                k: 100.0,
+                mean_age_tau: 18.5,
+                peak_age_tau: f64::NAN,
+                violation: 0.125,
+                deliveries: 18,
+                stations_observed: 19,
+            },
             horizon: tcw_window::engine::HorizonStats {
                 jumps: 14,
                 slots_skipped: 15,
@@ -1584,7 +1607,7 @@ mod tests {
         csp.encode(&mut w);
         let words = w.into_words();
         let mut r = SnapReader::new(&words);
-        let back = crate::runner::ChurnSimPoint::decode(&mut r).unwrap();
+        let back = crate::runner::Outcome::decode(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back.point.loss.to_bits(), csp.point.loss.to_bits());
         assert_eq!(back.point.ci95.to_bits(), csp.point.ci95.to_bits());
@@ -1593,6 +1616,11 @@ mod tests {
             back.churn.rejoin_mean_slots.to_bits(),
             csp.churn.rejoin_mean_slots.to_bits()
         );
+        assert_eq!(
+            back.aoi.peak_age_tau.to_bits(),
+            csp.aoi.peak_age_tau.to_bits()
+        );
+        assert_eq!(back.aoi.stations_observed, 19);
         assert_eq!(back.horizon, csp.horizon);
 
         let chaos = crate::chaos::ChaosOutcome {

@@ -1,11 +1,11 @@
 //! Parallel sweep execution and the sweep binaries' command line.
 //!
-//! Every experiment binary sweeps a grid of *cells* — fully specified,
-//! mutually independent simulation points (panel × policy × deadline ×
-//! seed × fault/churn plan). Cells share no state: each engine derives
-//! every random draw from its own master seed, so the grid is
-//! embarrassingly parallel and the paper's Section-5 panels can use all
-//! available cores.
+//! Every experiment binary sweeps a grid of cells — fully specified,
+//! mutually independent simulation points, each a
+//! [`crate::runner::Scenario`] or a binary's own cell type. Cells share no
+//! state: each engine derives every random draw from its own master seed,
+//! so the grid is embarrassingly parallel and the paper's Section-5 panels
+//! can use all available cores.
 //!
 //! [`run_parallel`] executes a slice of cells on a small work-stealing
 //! pool built on `std::thread::scope` (the workspace stays
@@ -21,86 +21,31 @@
 //!   so CSV/TXT outputs are byte-identical to the serial run. The
 //!   `sweep_determinism` integration test pins this property.
 //!
+//! [`run_cells`] runs a slice of scenarios on it with nothing attached.
 //! The sweep binaries themselves run their grids through
-//! [`crate::supervise::supervised_cells`], which schedules cells the
-//! same way under supervision. [`Cli`] parses their command line: the
-//! shared flags (`--jobs N`, default: available parallelism; the
-//! supervision and telemetry flags) plus the [`Flag`]s each binary
-//! declares. Any other argument is a usage error.
+//! [`crate::supervise::supervised_cells`] (scenario grids through
+//! [`crate::supervise::run_scenarios`]), which schedules cells the same
+//! way under supervision. [`Cli`] parses their command line: the shared
+//! flags (`--jobs N`, default: available parallelism; the supervision and
+//! telemetry flags) plus the [`Flag`]s each binary declares. Any other
+//! argument is a usage error.
 
 use crate::replay::panic_message;
-use crate::runner::{simulate_churn, ChurnSimPoint, PolicyKind, SimSettings};
-use crate::Panel;
+use crate::runner::{run, Outcome, Scenario};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
+use tcw_window::trace::NoopObserver;
 
-/// One fully specified simulation point of a sweep grid.
-///
-/// A `Cell` carries everything a worker needs — including the master
-/// seed — so running it is a pure function of the cell. Plans default to
-/// [`tcw_mac::FaultPlan::none`] / [`tcw_mac::ChurnPlan::none`], which
-/// are bit-identical to fault- and churn-free builds.
-#[derive(Clone, Debug)]
-pub struct Cell {
-    /// Workload panel (offered load and message length).
-    pub panel: Panel,
-    /// Protocol variant.
-    pub policy: PolicyKind,
-    /// Deadline in units of `tau`.
-    pub k_tau: f64,
-    /// Simulation-size knobs.
-    pub settings: SimSettings,
-    /// Master seed of the run.
-    pub seed: u64,
-    /// Injected fault plan.
-    pub plan: tcw_mac::FaultPlan,
-    /// Injected churn plan.
-    pub churn: tcw_mac::ChurnPlan,
-}
-
-impl Cell {
-    /// A clean (fault- and churn-free) cell.
-    pub fn clean(
-        panel: Panel,
-        policy: PolicyKind,
-        k_tau: f64,
-        settings: SimSettings,
-        seed: u64,
-    ) -> Self {
-        Cell {
-            panel,
-            policy,
-            k_tau,
-            settings,
-            seed,
-            plan: tcw_mac::FaultPlan::none(),
-            churn: tcw_mac::ChurnPlan::none(),
-        }
-    }
-
-    /// Runs the cell to completion.
-    pub fn run(&self) -> ChurnSimPoint {
-        simulate_churn(
-            self.panel,
-            self.policy,
-            self.k_tau,
-            self.settings,
-            self.seed,
-            self.plan,
-            self.churn,
-        )
-    }
-}
-
-/// Runs every cell and reassembles the results in cell order.
+/// Runs every scenario with nothing attached and reassembles the
+/// outcomes in cell order.
 ///
 /// A panicking cell aborts the sweep with a message naming both the
 /// cell index and its master seed, so the failure can be replayed
 /// without guessing which grid point died.
-pub fn run_cells(cells: &[Cell], jobs: usize) -> Vec<ChurnSimPoint> {
+pub fn run_cells(cells: &[Scenario], jobs: usize) -> Vec<Outcome> {
     run_parallel(cells, jobs, |_, c| {
-        catch_unwind(AssertUnwindSafe(|| c.run()))
+        catch_unwind(AssertUnwindSafe(|| run(c, &mut NoopObserver, None)))
             .unwrap_or_else(|e| panic!("cell with seed {} panicked: {}", c.seed, panic_message(e)))
     })
 }
@@ -389,6 +334,8 @@ impl Cli {
 mod tests {
     use super::*;
     use crate::panels::PANELS;
+    use crate::runner::{PolicyKind, SimSettings};
+    use crate::Panel;
 
     #[test]
     fn parallel_matches_serial_order_and_values() {
@@ -551,7 +498,7 @@ mod tests {
             rho_prime: -1.0,
             m: 25,
         };
-        let cells = vec![Cell::clean(
+        let cells = vec![Scenario::clean(
             bad,
             PolicyKind::Controlled,
             100.0,
@@ -572,8 +519,8 @@ mod tests {
             ticks_per_tau: 8,
             ..Default::default()
         };
-        let cells: Vec<Cell> = (0..4)
-            .map(|i| Cell::clean(PANELS[0], PolicyKind::Controlled, 100.0, settings, 100 + i))
+        let cells: Vec<Scenario> = (0..4)
+            .map(|i| Scenario::clean(PANELS[0], PolicyKind::Controlled, 100.0, settings, 100 + i))
             .collect();
         let serial = run_cells(&cells, 1);
         let parallel = run_cells(&cells, 4);

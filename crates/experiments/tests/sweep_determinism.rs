@@ -15,8 +15,8 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use tcw_experiments::plot::write_csv;
-use tcw_experiments::runner::{simulate_churn_observed, ChurnSimPoint, PolicyKind, SimSettings};
-use tcw_experiments::sweep::{run_cells, run_parallel, Cell};
+use tcw_experiments::runner::{run, Outcome, PolicyKind, Scenario, SimSettings};
+use tcw_experiments::sweep::{run_cells, run_parallel};
 use tcw_experiments::{observe_engine_cell, supervised_cells, Capture, CellArtifacts, Cli, PANELS};
 use tcw_mac::{ChurnPlan, FaultPlan};
 use tcw_obs::Registry;
@@ -32,11 +32,11 @@ fn small() -> SimSettings {
 
 /// The miniature robustness-style grid used by the test: two loads ×
 /// three fault probabilities, seeds mixed per cell like the binaries do.
-fn grid() -> Vec<Cell> {
+fn grid() -> Vec<Scenario> {
     let mut cells = Vec::new();
     for (li, &panel) in [PANELS[0], PANELS[4]].iter().enumerate() {
         for (pi, &p) in [0.0, 0.02, 0.05].iter().enumerate() {
-            let mut c = Cell::clean(
+            let mut c = Scenario::clean(
                 panel,
                 PolicyKind::Controlled,
                 100.0,
@@ -53,19 +53,9 @@ fn grid() -> Vec<Cell> {
     cells
 }
 
-fn run_observed(
-    c: &Cell,
-    obs: &mut dyn tcw_window::trace::EngineObserver,
-    sink: Option<&mut dyn tcw_sim::stats::MetricSink>,
-) -> ChurnSimPoint {
-    simulate_churn_observed(
-        c.panel, c.policy, c.k_tau, c.settings, c.seed, c.plan, c.churn, obs, sink,
-    )
-}
-
 /// Renders the sweep exactly like the experiment binaries render their
 /// CSVs: full-precision `{}` formatting of every float, one row per cell.
-fn render_rows(points: &[tcw_experiments::runner::ChurnSimPoint]) -> Vec<Vec<String>> {
+fn render_rows(points: &[Outcome]) -> Vec<Vec<String>> {
     points
         .iter()
         .map(|csp| {
@@ -116,20 +106,18 @@ fn parallel_sweep_csv_is_byte_identical_to_serial() {
 /// returning the simulated points plus the assembled artifacts exactly
 /// as `write_observability` would build them: traces concatenated and
 /// registries merged in cell order.
-fn instrumented_run(jobs: usize) -> (Vec<ChurnSimPoint>, String, String, String, String) {
+fn instrumented_run(jobs: usize) -> (Vec<Outcome>, String, String, String, String) {
     let cells = grid();
     let caps = Capture {
         tracing: true,
         metrics: true,
         spans: true,
     };
-    let out: Vec<(ChurnSimPoint, CellArtifacts)> = run_parallel(&cells, jobs, |i, c| {
+    let out: Vec<(Outcome, CellArtifacts)> = run_parallel(&cells, jobs, |i, c| {
         let label = format!("cell {i}");
         let seed_s = format!("{}", c.seed);
         let labels = [("cell", label.as_str()), ("seed", seed_s.as_str())];
-        observe_engine_cell(caps, i, &label, &labels, |obs, sink| {
-            run_observed(c, obs, sink)
-        })
+        observe_engine_cell(caps, i, &label, &labels, |obs, sink| run(c, obs, sink))
     });
     let (points, artifacts): (Vec<_>, Vec<_>) = out.into_iter().unzip();
     let mut trace = String::new();
@@ -251,7 +239,7 @@ fn executor_run(tag: &str, args: &[&str], journal: bool) -> (Vec<Vec<String>>, V
             (format!("cell {i}"), labels)
         },
         |_, _| None,
-        move |i, obs, sink| run_observed(&cells[i], obs, sink),
+        move |i, obs, sink| run(&cells[i], obs, sink),
     );
     let spans = std::fs::read(dir.join("s.spans.ndjson")).expect("spans written");
     let prom = std::fs::read(dir.join("m.prom")).expect("metrics written");

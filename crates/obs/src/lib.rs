@@ -21,9 +21,6 @@
 //!   the churn process and the divergence detector, snapshotted per sweep
 //!   cell and exportable as Prometheus text exposition format or JSON
 //!   (the `--metrics PATH[.prom|.json]` flag);
-//! * [`profile`] — log-scale latency histograms plus (behind the
-//!   `obs-profile` feature) a wall-clock slot-phase profiler for the
-//!   engine's decision/probe/reopen phases;
 //! * [`progress::Progress`] — per-cell state and worker heartbeats for the
 //!   parallel sweep executor, rendered as a stderr progress line with ETA
 //!   and stall detection.
@@ -97,7 +94,6 @@
 pub mod event;
 pub mod lint;
 mod ndjson;
-pub mod profile;
 pub mod progress;
 pub mod registry;
 pub mod report;

@@ -6,7 +6,9 @@
 //! cargo run --release --example policy_comparison
 //! ```
 
-use tcw_experiments::{simulate_panel, Panel, PolicyKind, SimSettings};
+use tcw_experiments::runner::run;
+use tcw_experiments::{Panel, PolicyKind, Scenario, SimSettings};
+use tcw_window::trace::NoopObserver;
 
 fn main() {
     let panel = Panel {
@@ -36,7 +38,8 @@ fn main() {
             PolicyKind::Lcfs,
             PolicyKind::Random,
         ] {
-            let p = simulate_panel(panel, kind, k, settings, 5);
+            let sc = Scenario::clean(panel, kind, k, settings, 5);
+            let p = run(&sc, &mut NoopObserver, None).point;
             cells.push(format!("{:.4}", p.loss));
         }
         println!(

@@ -4,9 +4,16 @@
 //! methodology ("the close agreement between the analytic results and the
 //! simulation results", §4.2).
 
-use tcw_experiments::{simulate_panel, Panel, PolicyKind, SimSettings};
+use tcw_experiments::runner::run;
+use tcw_experiments::{Panel, PolicyKind, Scenario, SimPoint, SimSettings};
 use tcw_queueing::marching::{controlled_curve, fcfs_curve, PanelConfig};
 use tcw_queueing::service::SchedulingShape;
+use tcw_window::trace::NoopObserver;
+
+/// Runs one scenario with nothing attached.
+fn simulate(sc: Scenario) -> SimPoint {
+    run(&sc, &mut NoopObserver, None).point
+}
 
 fn quick() -> SimSettings {
     SimSettings {
@@ -25,7 +32,13 @@ fn check_panel(panel: Panel, ks: &[f64], seed: u64) {
     };
     let analytic = controlled_curve(cfg, ks);
     for (a, &k) in analytic.iter().zip(ks) {
-        let sim = simulate_panel(panel, PolicyKind::Controlled, k, quick(), seed);
+        let sim = simulate(Scenario::clean(
+            panel,
+            PolicyKind::Controlled,
+            k,
+            quick(),
+            seed,
+        ));
         let tol = (4.0 * sim.ci95).max(0.015);
         assert!(
             (a.loss - sim.loss).abs() <= tol,
@@ -91,7 +104,7 @@ fn fcfs_receiver_loss_matches_mg1_tail() {
     let ks = [50.0, 100.0, 200.0];
     let analytic = fcfs_curve(cfg, &ks, true);
     for (a, &k) in analytic.iter().zip(&ks) {
-        let sim = simulate_panel(panel, PolicyKind::Fcfs, k, quick(), 4);
+        let sim = simulate(Scenario::clean(panel, PolicyKind::Fcfs, k, quick(), 4));
         let tol = (4.0 * sim.ci95).max(0.02);
         assert!(
             (a.loss - sim.loss).abs() <= tol,

@@ -2,11 +2,11 @@
 //! churn-aware failure-replay artifact.
 
 use tcw_experiments::replay::{execute, FailureRecord, ARTIFACT_VERSION};
-use tcw_experiments::runner::{
-    simulate_churn, simulate_churn_with_detector, PolicyKind, SimSettings,
-};
+use tcw_experiments::runner::{run, Outcome, PolicyKind, Scenario, SimSettings};
 use tcw_experiments::Panel;
 use tcw_mac::{ChurnPlan, FaultPlan};
+use tcw_window::mirror::DivergenceDetector;
+use tcw_window::trace::NoopObserver;
 
 fn quick() -> SimSettings {
     SimSettings {
@@ -28,29 +28,34 @@ fn crashy() -> ChurnPlan {
     ChurnPlan::crash_restart(0.002, 40, 100)
 }
 
+/// A controlled run at K = 100 tau with the given plans.
+fn scenario(seed: u64, plan: FaultPlan, churn: ChurnPlan) -> Scenario {
+    Scenario {
+        plan,
+        churn,
+        ..Scenario::clean(panel(), PolicyKind::Controlled, 100.0, quick(), seed)
+    }
+}
+
+fn plain(sc: &Scenario) -> Outcome {
+    run(sc, &mut NoopObserver, None)
+}
+
+/// Runs `sc` with listening station 0 tracked by the divergence detector.
+fn with_detector(sc: &Scenario) -> (Outcome, DivergenceDetector) {
+    let mut det = sc.detector();
+    let out = run(sc, &mut det, None);
+    (out, det)
+}
+
 /// A churn-free run equals the fault replay runner's (`replay::execute`)
 /// run of the same seed: the divergence detector it attaches is a passive
 /// observer, and `ChurnPlan::none()` touches no RNG stream.
 #[test]
 fn none_churn_matches_faulty_runner_exactly() {
-    let (base, _) = simulate_churn_with_detector(
-        panel(),
-        PolicyKind::Controlled,
-        100.0,
-        quick(),
-        7,
-        FaultPlan::none(),
-        ChurnPlan::none(),
-    );
-    let churny = simulate_churn(
-        panel(),
-        PolicyKind::Controlled,
-        100.0,
-        quick(),
-        7,
-        FaultPlan::none(),
-        ChurnPlan::none(),
-    );
+    let sc = scenario(7, FaultPlan::none(), ChurnPlan::none());
+    let (base, _) = with_detector(&sc);
+    let churny = plain(&sc);
     assert_eq!(
         format!("{:?} {:?}", base.point, base.faults),
         format!("{:?} {:?}", churny.point, churny.faults)
@@ -63,19 +68,9 @@ fn none_churn_matches_faulty_runner_exactly() {
 
 #[test]
 fn churn_runs_are_deterministic_and_counted() {
-    let run = || {
-        simulate_churn(
-            panel(),
-            PolicyKind::Controlled,
-            100.0,
-            quick(),
-            11,
-            FaultPlan::none(),
-            crashy(),
-        )
-    };
-    let a = run();
-    let b = run();
+    let sc = scenario(11, FaultPlan::none(), crashy());
+    let a = plain(&sc);
+    let b = plain(&sc);
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
     assert!(a.churn.crashes > 0, "no crashes materialized");
     // Stations still down when the run ends never restart; at most one
@@ -175,31 +170,15 @@ fn detector_report_separates_churn_repairs_from_deaf_resyncs() {
         outage_slots: 24,
         ..ChurnPlan::none()
     };
-    let (_, det) = simulate_churn_with_detector(
-        panel(),
-        PolicyKind::Controlled,
-        100.0,
-        quick(),
-        13,
-        FaultPlan::none(),
-        outage_only,
-    );
-    assert_eq!(det.churn_repairs, 1);
-    assert_eq!(det.resyncs, det.churn_repairs);
+    let (_, det) = with_detector(&scenario(13, FaultPlan::none(), outage_only));
+    assert_eq!(det.churn_repairs(), 1);
+    assert_eq!(det.resyncs(), det.churn_repairs());
 
     // Deafness only: no resync is a churn repair.
     let mut deaf = FaultPlan::none();
     deaf.deafness = 0.005;
     deaf.deaf_slots = 4;
-    let (_, det) = simulate_churn_with_detector(
-        panel(),
-        PolicyKind::Controlled,
-        100.0,
-        quick(),
-        13,
-        deaf,
-        ChurnPlan::none(),
-    );
-    assert!(det.divergences > 0, "deafness never diverged");
-    assert_eq!(det.churn_repairs, 0);
+    let (_, det) = with_detector(&scenario(13, deaf, ChurnPlan::none()));
+    assert!(det.divergences() > 0, "deafness never diverged");
+    assert_eq!(det.churn_repairs(), 0);
 }

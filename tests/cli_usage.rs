@@ -17,6 +17,13 @@ const SWEEP_BINARIES: [(&str, &str); 9] = [
     ("wait_dist", env!("CARGO_BIN_EXE_wait_dist")),
 ];
 
+/// Binaries that take no arguments at all.
+const ARGUMENT_FREE_BINARIES: [(&str, &str); 3] = [
+    ("light", env!("CARGO_BIN_EXE_light")),
+    ("mdp_verify", env!("CARGO_BIN_EXE_mdp_verify")),
+    ("trace_window", env!("CARGO_BIN_EXE_trace_window")),
+];
+
 #[test]
 fn malformed_jobs_is_a_usage_error() {
     // The binaries write `results/` relative to the working directory;
@@ -81,11 +88,32 @@ fn run_in(dir: &std::path::Path, exe: &str, args: &[&str]) -> (Option<i32>, Stri
 /// Every sweep binary parses its command line in one place: a misspelled
 /// or unknown argument is a usage error instead of a silently ignored one
 /// that runs the full sweep, and a mode flag (`--replay PATH`) takes no
-/// other argument.
+/// other argument. A binary without flags rejects any argument, the
+/// shared sweep flags included.
 #[test]
 fn unknown_arguments_are_usage_errors() {
     let dir = std::env::temp_dir().join(format!("tcw_cli_unknown_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
+    for (tool, exe) in ARGUMENT_FREE_BINARIES {
+        for args in [
+            &["--bogus-flag"][..],
+            &["--jobs", "2"],
+            &["--progress"],
+            &["extra", "--bogus-flag"],
+        ] {
+            let (code, stderr) = run_in(&dir, exe, args);
+            assert_eq!(code, Some(1), "{tool} {args:?}: {stderr}");
+            assert_eq!(
+                stderr,
+                format!("{tool}: unknown argument {:?}\n", args[0]),
+                "{tool} {args:?}"
+            );
+            assert!(
+                std::fs::read_dir(&dir).unwrap().next().is_none(),
+                "{tool} {args:?} did work before rejecting its arguments"
+            );
+        }
+    }
     for (tool, exe) in SWEEP_BINARIES {
         let mut cases = vec![
             (vec!["--jbos", "2", "--quick"], "--jbos"),

@@ -2,13 +2,13 @@
 //! deterministic failure-replay artifact.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use tcw_experiments::adaptive::AdaptiveRecord;
 use tcw_experiments::replay::FailureRecord;
-use tcw_experiments::runner::{
-    simulate_churn, simulate_churn_with_detector, simulate_panel, ChurnSimPoint, DetectorReport,
-    PolicyKind, SimSettings,
-};
-use tcw_experiments::Panel;
-use tcw_mac::{ChurnPlan, FaultPlan};
+use tcw_experiments::runner::{run, Outcome, PolicyKind, Scenario, SimSettings};
+use tcw_experiments::{ChaosRecord, Panel};
+use tcw_mac::FaultPlan;
+use tcw_window::mirror::DivergenceDetector;
+use tcw_window::trace::NoopObserver;
 
 fn quick() -> SimSettings {
     SimSettings {
@@ -27,36 +27,28 @@ fn panel() -> Panel {
 }
 
 /// A controlled run at K = 100 tau with a fault plan and no churn.
-fn faulty(seed: u64, plan: FaultPlan) -> ChurnSimPoint {
-    let k = 100.0;
-    simulate_churn(
-        panel(),
-        PolicyKind::Controlled,
-        k,
-        quick(),
-        seed,
+fn scenario(seed: u64, plan: FaultPlan) -> Scenario {
+    Scenario {
         plan,
-        ChurnPlan::none(),
-    )
+        ..Scenario::clean(panel(), PolicyKind::Controlled, 100.0, quick(), seed)
+    }
+}
+
+fn faulty(seed: u64, plan: FaultPlan) -> Outcome {
+    run(&scenario(seed, plan), &mut NoopObserver, None)
 }
 
 /// [`faulty`] with listening station 0 tracked by the divergence detector.
-fn with_detector(seed: u64, plan: FaultPlan) -> (ChurnSimPoint, DetectorReport) {
-    let (k, churn) = (100.0, ChurnPlan::none());
-    simulate_churn_with_detector(
-        panel(),
-        PolicyKind::Controlled,
-        k,
-        quick(),
-        seed,
-        plan,
-        churn,
-    )
+fn with_detector(sc: &Scenario) -> DivergenceDetector {
+    let mut det = sc.detector();
+    run(sc, &mut det, None);
+    det
 }
 
 #[test]
 fn none_plan_matches_plain_runner_exactly() {
-    let base = simulate_panel(panel(), PolicyKind::Controlled, 100.0, quick(), 7);
+    let clean = Scenario::clean(panel(), PolicyKind::Controlled, 100.0, quick(), 7);
+    let base = run(&clean, &mut NoopObserver, None).point;
     let faulty = faulty(7, FaultPlan::none());
     assert_eq!(format!("{base:?}"), format!("{:?}", faulty.point));
     assert_eq!(faulty.faults.corrupted_slots, 0);
@@ -88,13 +80,12 @@ fn detector_run_is_deterministic_and_replayable() {
     let mut plan = FaultPlan::uniform(0.02);
     plan.deafness = 0.005;
     plan.deaf_slots = 4;
-    let run = || with_detector(11, plan);
-    let (_, det_a) = run();
-    let (_, det_b) = run();
-    assert!(det_a.divergences > 0, "deafness produced no divergence");
-    assert_eq!(det_a.divergences, det_b.divergences);
-    assert_eq!(det_a.dropped_slots, det_b.dropped_slots);
-    assert_eq!(det_a.first_divergence, det_b.first_divergence);
+    let det_a = with_detector(&scenario(11, plan));
+    let det_b = with_detector(&scenario(11, plan));
+    assert!(det_a.divergences() > 0, "deafness produced no divergence");
+    assert_eq!(det_a.divergences(), det_b.divergences());
+    assert_eq!(det_a.dropped_slots(), det_b.dropped_slots());
+    assert_eq!(det_a.first_divergence(), det_b.first_divergence());
 }
 
 #[test]
@@ -104,37 +95,20 @@ fn artifact_roundtrip_reproduces_the_failure() {
     let mut plan = FaultPlan::uniform(0.02);
     plan.deafness = 0.005;
     plan.deaf_slots = 4;
-    let (_, det) = with_detector(11, plan);
-    let first = det.first_divergence.expect("deafness must diverge");
-    let rec = FailureRecord {
-        seed: 11,
-        plan,
-        churn: ChurnPlan::none(),
-        panel: panel(),
-        policy: PolicyKind::Controlled,
-        k_tau: 100.0,
-        settings: quick(),
-        kind: "divergence".to_string(),
-        detail: first.clone(),
-    };
+    let sc = scenario(11, plan);
+    let det = with_detector(&sc);
+    let first = det.first_divergence().expect("deafness must diverge");
+    let rec = FailureRecord::new(&sc, "divergence", first);
     let dir = std::env::temp_dir().join("tcw_robustness_test");
     let path = dir.join("artifact.json");
     rec.save(&path).expect("save artifact");
     let loaded = FailureRecord::load(&path).expect("load artifact");
     assert_eq!(loaded, rec);
     // Replay from the loaded record alone.
-    let (_, replayed) = simulate_churn_with_detector(
-        loaded.panel,
-        loaded.policy,
-        loaded.k_tau,
-        loaded.settings,
-        loaded.seed,
-        loaded.plan,
-        loaded.churn,
-    );
+    let replayed = with_detector(&loaded.scenario());
     assert_eq!(
-        replayed.first_divergence.as_deref(),
-        Some(first.as_str()),
+        replayed.first_divergence(),
+        Some(first),
         "replay did not reproduce the recorded failure"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -151,4 +125,36 @@ fn panics_are_catchable_for_the_harness() {
     };
     let result = catch_unwind(AssertUnwindSafe(|| faulty(7, bad)));
     assert!(result.is_err(), "oversubscribed plan must be rejected");
+}
+
+/// Every committed replay artifact loads through its record type and
+/// re-serializes to its exact bytes, so a codec change cannot silently
+/// rewrite (or stop reading) the artifacts under `results/failures/`.
+#[test]
+fn committed_replay_artifacts_reserialize_unchanged() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/failures");
+    let mut families = Vec::new();
+    for entry in std::fs::read_dir(&dir).expect("results/failures exists") {
+        let path = entry.expect("directory entry").path();
+        let text = std::fs::read_to_string(&path).expect("read artifact");
+        let (family, json) = if text.contains("\"experiment\": \"chaos\"") {
+            ("chaos", ChaosRecord::from_json(&text).map(|r| r.to_json()))
+        } else if text.contains("\"experiment\": \"adaptive\"") {
+            (
+                "adaptive",
+                AdaptiveRecord::from_json(&text).map(|r| r.to_json()),
+            )
+        } else {
+            (
+                "failure",
+                FailureRecord::from_json(&text).map(|r| r.to_json()),
+            )
+        };
+        let json = json.unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(json, text, "{} re-serialized differently", path.display());
+        families.push(family);
+    }
+    families.sort_unstable();
+    families.dedup();
+    assert_eq!(families, ["adaptive", "chaos", "failure"]);
 }

@@ -2,8 +2,15 @@
 //! input to the queueing model's service distribution) against the
 //! protocol engine's measurements.
 
-use tcw_experiments::{simulate_panel, Panel, PolicyKind, SimSettings};
+use tcw_experiments::runner::run;
+use tcw_experiments::{Panel, PolicyKind, Scenario, SimPoint, SimSettings};
 use tcw_window::analysis::{expected_overhead_slots, optimal_mu, overhead_slot_pmf};
+use tcw_window::trace::NoopObserver;
+
+/// Runs one scenario with nothing attached.
+fn simulate(sc: Scenario) -> SimPoint {
+    run(&sc, &mut NoopObserver, None).point
+}
 
 fn settings() -> SimSettings {
     SimSettings {
@@ -25,7 +32,13 @@ fn per_round_overhead_matches_recursion_under_saturation() {
         rho_prime: 1.5,
         m: 25,
     };
-    let p = simulate_panel(panel, PolicyKind::Fcfs, 1.0e9, settings(), 3);
+    let p = simulate(Scenario::clean(
+        panel,
+        PolicyKind::Fcfs,
+        1.0e9,
+        settings(),
+        3,
+    ));
     let mu = optimal_mu(); // the runner picks w* = mu*/lambda
     let q0 = (-mu).exp();
     let expect = expected_overhead_slots(mu) - q0 / (1.0 - q0);
@@ -55,7 +68,13 @@ fn mean_sched_time_between_zero_and_redraw_model() {
         rho_prime: 0.75,
         m: 25,
     };
-    let p = simulate_panel(panel, PolicyKind::Controlled, 400.0, settings(), 4);
+    let p = simulate(Scenario::clean(
+        panel,
+        PolicyKind::Controlled,
+        400.0,
+        settings(),
+        4,
+    ));
     let upper = expected_overhead_slots(optimal_mu());
     assert!(
         p.sched_time_mean > 0.2 && p.sched_time_mean < upper + 0.3,
@@ -92,7 +111,13 @@ fn heuristic_window_is_near_the_simulated_optimum() {
     assert!(at_opt < too_small && at_opt < too_large);
     // And the simulated utilization at w* is close to the ideal
     // M / (M + E[S]).
-    let p = simulate_panel(panel, PolicyKind::Fcfs, 10_000.0, settings(), 5);
+    let p = simulate(Scenario::clean(
+        panel,
+        PolicyKind::Fcfs,
+        10_000.0,
+        settings(),
+        5,
+    ));
     let ideal = panel.rho_prime; // offered load is carried entirely
     assert!(
         (p.utilization - ideal).abs() < 0.02,

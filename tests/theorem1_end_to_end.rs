@@ -5,13 +5,19 @@
 //! actual loss; and the controlled protocol dominates every uncontrolled
 //! discipline of [Kurose 83].
 
-use tcw_experiments::{simulate_panel, Panel, PolicyKind, SimSettings};
+use tcw_experiments::runner::run;
+use tcw_experiments::{Panel, PolicyKind, Scenario, SimPoint, SimSettings};
 use tcw_sim::time::{Dur, Time};
 use tcw_window::analysis::optimal_mu;
 use tcw_window::engine::poisson_engine;
 use tcw_window::metrics::MeasureConfig;
 use tcw_window::policy::{ControlPolicy, SplitRule, WindowLength, WindowPosition};
 use tcw_window::trace::NoopObserver;
+
+/// Runs one scenario with nothing attached.
+fn simulate(sc: Scenario) -> SimPoint {
+    run(&sc, &mut NoopObserver, None).point
+}
 
 const TPT: u64 = 16;
 
@@ -80,9 +86,15 @@ fn controlled_dominates_uncontrolled_baselines() {
         ..Default::default()
     };
     for k in [50.0, 100.0, 200.0] {
-        let c = simulate_panel(panel, PolicyKind::Controlled, k, settings, 17);
+        let c = simulate(Scenario::clean(
+            panel,
+            PolicyKind::Controlled,
+            k,
+            settings,
+            17,
+        ));
         for kind in [PolicyKind::Fcfs, PolicyKind::Lcfs, PolicyKind::Random] {
-            let b = simulate_panel(panel, kind, k, settings, 17);
+            let b = simulate(Scenario::clean(panel, kind, k, settings, 17));
             assert!(
                 c.loss <= b.loss + 0.01,
                 "K={k}: controlled {:.4} vs {} {:.4}",
@@ -114,16 +126,40 @@ fn fcfs_lcfs_cross_over_in_k() {
     };
     let tight = 50.0;
     let loose = 400.0;
-    let f_tight = simulate_panel(panel, PolicyKind::Fcfs, tight, settings, 19);
-    let l_tight = simulate_panel(panel, PolicyKind::Lcfs, tight, settings, 19);
+    let f_tight = simulate(Scenario::clean(
+        panel,
+        PolicyKind::Fcfs,
+        tight,
+        settings,
+        19,
+    ));
+    let l_tight = simulate(Scenario::clean(
+        panel,
+        PolicyKind::Lcfs,
+        tight,
+        settings,
+        19,
+    ));
     assert!(
         l_tight.loss < f_tight.loss - 0.02,
         "tight K: lcfs {:.4} should beat fcfs {:.4}",
         l_tight.loss,
         f_tight.loss
     );
-    let f_loose = simulate_panel(panel, PolicyKind::Fcfs, loose, settings, 19);
-    let l_loose = simulate_panel(panel, PolicyKind::Lcfs, loose, settings, 19);
+    let f_loose = simulate(Scenario::clean(
+        panel,
+        PolicyKind::Fcfs,
+        loose,
+        settings,
+        19,
+    ));
+    let l_loose = simulate(Scenario::clean(
+        panel,
+        PolicyKind::Lcfs,
+        loose,
+        settings,
+        19,
+    ));
     assert!(
         f_loose.loss < l_loose.loss - 0.005,
         "loose K: fcfs {:.4} should beat lcfs {:.4}",
